@@ -1,9 +1,10 @@
-"""Enumerating conflict-free sets level by level.
+"""Enumerating conflict-free sets from compatibility sets.
 
 The compatibility set C(i) holds the arguments that can sit next to i in
-a conflict-free set. Level r+1 grows out of level r by adding one
-argument above the current maximum whose compatibility set covers the
-set, so every conflict-free set is produced exactly once.
+a conflict-free set. A depth-first walk grows each set by one argument
+above its current maximum that is compatible with every member, so every
+conflict-free set is produced exactly once; the family is then reported
+level by level (by cardinality).
 """
 
 from afmat import Framework, basic_sets, enumerate_conflict_free, iter_conflict_free

@@ -1,13 +1,28 @@
-"""Conflict-free sets: compatibility sets and level-wise enumeration.
+"""Conflict-free sets: compatibility sets and a depth-first carried-mask walk.
 
 A set is conflict-free when its inner sub-block is all zero, i.e. no
-member attacks a member (self-attacks included). Enumeration goes level
-by cardinality. For each argument i that does not attack itself, its
-compatibility set C(i) collects the arguments j != i with no attack in
-either direction between i and j and no self-attack on j. A level-r set
-S then grows into S + {i} exactly when i > max(S) and S is contained in
-C(i); the max-extension rule produces every conflict-free set exactly
-once and keeps each level in lexicographic order.
+member attacks a member (self-attacks included). For each argument i
+that does not attack itself, its compatibility set C(i) collects the
+arguments j != i with no attack in either direction between i and j and
+no self-attack on j.
+
+Enumeration is one depth-first walk over compatibility masks. Each node
+carries its set S, the bitmask of S, ``plus`` (everything S attacks),
+``minus`` (everything that attacks S) and ``cand``: the arguments above
+max(S) compatible with every member. The child for i in ``cand`` gets
+``cand & C(i)`` restricted to the arguments above i, and ORs the attack
+rows of i into ``plus`` and ``minus``. Every child is conflict-free by
+construction, every conflict-free set is reached exactly once, and the
+stack never holds more than O(n^2) nodes. :mod:`afmat.semantics` decides
+stable, admissible and complete as word tests on ``mask``, ``plus`` and
+``minus`` of the same nodes.
+
+Children are pushed highest first, so the walk pops sets in
+lexicographic preorder. The public order (by cardinality, then
+lexicographic) is restored by bucketing the walk by cardinality: each
+bucket is already lexicographic. Bucketing holds the whole family in
+memory before the first set is yielded, as :func:`enumerate_conflict_free`
+does anyway.
 
 Note the conjunctive reading of compatibility: *both* directions between
 i and j must be attack-free, otherwise {i, j} would not be conflict-free
@@ -30,6 +45,9 @@ from .core import (
     pack,
     unpack,
 )
+
+# A walk node: (set, mask, plus, minus, cand).
+_Node = tuple[ArgSet, int, int, int, int]
 
 
 def is_conflict_free(f: Framework, candidate: Iterable[int]) -> bool:
@@ -65,33 +83,39 @@ def basic_sets(f: Framework) -> dict[int, frozenset[int]]:
     }
 
 
-def _levels(f: Framework) -> Iterator[list[tuple[ArgSet, int]]]:
-    """Non-empty levels of the conflict-free family, as (set, mask) pairs."""
-    tables = attack_tables(f)
-    comp = _compat_masks(tables)
-    yield [((), 0)]
-    level = [
-        ((i,), 1 << (i - 1))
-        for i in range(1, f.n + 1)
-        if not (tables.loops >> (i - 1)) & 1
-    ]
-    while level:
-        yield level
-        grown = []
-        for s, mask in level:
-            for i in range(s[-1] + 1, f.n + 1):
-                if (tables.loops >> (i - 1)) & 1:
-                    continue
-                if mask & ~comp[i] == 0:
-                    grown.append((s + (i,), mask | (1 << (i - 1))))
-        level = grown
+def _walk(tables: AttackTables) -> Iterator[_Node]:
+    """Every conflict-free set as a node, in lexicographic preorder."""
+    targets, attackers = tables.targets, tables.attackers
+    above = [c & ~((1 << i) - 1) for i, c in enumerate(_compat_masks(tables))]  # C(i) above i
+    stack = [((), 0, 0, 0, tables.full & ~tables.loops)]
+    push = stack.append
+    while stack:
+        node = stack.pop()
+        yield node
+        s, mask, plus, minus, cand = node
+        rest = cand
+        while rest:
+            i = rest.bit_length()  # highest first, so pops run in lexicographic preorder
+            bit = 1 << (i - 1)
+            rest ^= bit
+            push((s + (i,), mask | bit, plus | targets[i], minus | attackers[i], cand & above[i]))
+
+
+def _by_cardinality(f: Framework) -> list[list[ArgSet]]:
+    """The walk bucketed by set size; each bucket is lexicographic."""
+    buckets: list[list[ArgSet]] = [[] for _ in range(f.n + 1)]
+    for node in _walk(attack_tables(f)):
+        buckets[len(node[0])].append(node[0])
+    return buckets
 
 
 def iter_conflict_free(f: Framework) -> Iterator[ArgSet]:
-    """Every conflict-free set, streamed by cardinality, lexicographic within a level."""
-    for level in _levels(f):
-        for s, _ in level:
-            yield s
+    """Every conflict-free set, by cardinality, lexicographic within one size.
+
+    The whole family is held in memory before the first set is yielded.
+    """
+    for bucket in _by_cardinality(f):
+        yield from bucket
 
 
 @dataclass(frozen=True)
@@ -125,9 +149,5 @@ class CfFamily:
 
 
 def enumerate_conflict_free(f: Framework) -> CfFamily:
-    """Materialise the whole conflict-free family, level by level."""
-    levels: list[frozenset[ArgSet]] = [frozenset()] * (f.n + 1)
-    for level in _levels(f):
-        if level:
-            levels[len(level[0][0])] = frozenset(s for s, _ in level)
-    return CfFamily(tuple(levels))
+    """Materialise the whole conflict-free family, one frozenset per size."""
+    return CfFamily(tuple(frozenset(bucket) for bucket in _by_cardinality(f)))

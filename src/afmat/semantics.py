@@ -1,17 +1,30 @@
 """Extension semantics decided on the attack matrix.
 
-For a conflict-free candidate set S the core criteria read off the
-partition blocks of the natural matrix (:func:`afmat.core.extract_subblocks`),
-here evaluated as word scans over the packed rows:
+The conflict-free walk (:mod:`afmat.conflictfree`) carries three words
+for each conflict-free set S: ``mask`` (S itself), ``plus`` (the OR of
+the members' rows: everything S attacks) and ``minus`` (the OR of their
+columns: everything that attacks S). With ``full`` the word of all
+arguments, the core criteria are tests on those words:
 
-* stable      -- every column of the outgoing block is non-zero: S
-                 attacks every outsider.
-* admissible  -- whenever a row of the incoming block is non-zero (that
-                 outsider attacks S), the outgoing column for the same
-                 outsider is non-zero (S strikes back at it).
-* complete    -- admissible, and every outsider whose outgoing column is
-                 zero has at least one attacker whose own outgoing column
-                 is also zero; so no outsider is defended by S.
+* stable      -- ``mask | plus == full``: S attacks every outsider.
+* admissible  -- ``minus & ~plus == 0``: S attacks each of its attackers.
+* complete    -- admissible, and every j in ``full & ~(mask | plus)``
+                 has ``attackers[j] & ~plus != 0``: no outsider that S
+                 leaves unattacked is defended by S.
+* range       -- ``mask | plus``.
+
+:func:`is_stable`, :func:`is_admissible`, :func:`is_complete` and
+:func:`range_of` apply the same tests to words OR-ed from a candidate's
+members.
+
+These are the paper's block tests on the natural matrix
+(:func:`afmat.core.extract_subblocks`) read a word at a time: ``plus``
+restricted to the outsiders marks the non-zero columns of the outgoing
+block, and ``minus`` the non-zero rows of the incoming block. Stable
+says every outgoing column is non-zero; admissible says every non-zero
+incoming row is matched by a non-zero outgoing column for the same
+outsider; complete says every outsider with a zero outgoing column has
+an attacker whose own outgoing column is zero too.
 
 The same answers can be read off the norm form
 (:func:`afmat.core.to_norm_form`): stable means no undefeated zone at
@@ -24,7 +37,8 @@ inclusion-maximal admissible sets, grounded the least complete set,
 semi-stable the admissible sets with inclusion-maximal range (the set
 plus everything it attacks), and ideal / eager the single largest
 admissible set inside the intersection of all preferred / all
-semi-stable extensions.
+semi-stable extensions. They take the admissible masks with their
+ranges, and the complete masks, straight from the walk.
 
 Family computations and acceptance queries are deterministic: families
 order their sets by cardinality and then lexicographically.
@@ -36,7 +50,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator
 
-from .conflictfree import iter_conflict_free
+from .conflictfree import _Node, _walk
 from .core import (
     ArgSet,
     AttackTables,
@@ -47,7 +61,6 @@ from .core import (
     attack_tables,
     checked_argset,
     internal_attack,
-    pack,
     unpack,
 )
 
@@ -112,67 +125,63 @@ def _require_conflict_free(f: Framework, members: ArgSet) -> None:
         )
 
 
-def _outsider_bits(tables: AttackTables, mask: int) -> Iterator[int]:
-    rest = tables.full & ~mask
-    while rest:
-        low = rest & -rest
-        yield low.bit_length()
-        rest ^= low
+def _node(tables: AttackTables, members: ArgSet) -> _Node:
+    """A walk node for ``members``, its masks OR-ed from the members' rows."""
+    mask = plus = minus = 0
+    for a in members:
+        mask |= 1 << (a - 1)
+        plus |= tables.targets[a]
+        minus |= tables.attackers[a]
+    return members, mask, plus, minus, 0
 
 
-def _stable_ok(tables: AttackTables, mask: int) -> bool:
-    return all(tables.attackers[j] & mask for j in _outsider_bits(tables, mask))
-
-
-def _admissible_ok(tables: AttackTables, mask: int) -> bool:
-    for j in _outsider_bits(tables, mask):
-        if tables.targets[j] & mask and not tables.attackers[j] & mask:
+def _defends_no_outsider(tables: AttackTables, mask: int, plus: int) -> bool:
+    """Every argument outside the set's range has an attacker the set leaves alone."""
+    undefeated = tables.full & ~(mask | plus)
+    while undefeated:
+        low = undefeated & -undefeated
+        if tables.attackers[low.bit_length()] & ~plus == 0:
             return False
+        undefeated ^= low
     return True
 
 
-def _complete_ok(tables: AttackTables, mask: int) -> bool:
-    """Completeness test for an already admissible mask."""
-    for j in _outsider_bits(tables, mask):
-        if tables.attackers[j] & mask:
-            continue  # the candidate defeats j, so j cannot be defended
-        attackers = tables.attackers[j]
-        if attackers == 0:
-            return False  # unattacked outsider is trivially defended
-        rest = attackers
-        while rest:
-            low = rest & -rest
-            if tables.attackers[low.bit_length()] & mask == 0:
-                break  # an attacker of j the candidate leaves alone
-            rest ^= low
-        else:
-            return False  # every attacker of j is struck: j is defended
-    return True
+def _select(tag: Semantics, tables: AttackTables, nodes: Iterable[_Node]) -> Iterable[_Node]:
+    """The nodes whose conflict-free set meets the core criterion of ``tag``,
+    by word tests on the carried ``mask``, ``plus`` and ``minus``."""
+    if tag is Semantics.CONFLICT_FREE:
+        return nodes
+    if tag is Semantics.STABLE:
+        return (v for v in nodes if v[1] | v[2] == tables.full)
+    admissible = (v for v in nodes if v[3] & ~v[2] == 0)
+    if tag is Semantics.ADMISSIBLE:
+        return admissible
+    return (v for v in admissible if _defends_no_outsider(tables, v[1], v[2]))
+
+
+def _decide(f: Framework, candidate: Iterable[int], tag: Semantics) -> bool:
+    members = checked_argset(f, candidate)
+    _require_conflict_free(f, members)
+    tables = attack_tables(f)
+    node = [_node(tables, members)]
+    if tag is Semantics.COMPLETE and not any(_select(Semantics.ADMISSIBLE, tables, node)):
+        raise PreconditionError("candidate set is not admissible")
+    return any(_select(tag, tables, node))
 
 
 def is_stable(f: Framework, candidate: Iterable[int]) -> bool:
     """Does the conflict-free candidate attack every outside argument?"""
-    members = checked_argset(f, candidate)
-    _require_conflict_free(f, members)
-    return _stable_ok(attack_tables(f), pack(members))
+    return _decide(f, candidate, Semantics.STABLE)
 
 
 def is_admissible(f: Framework, candidate: Iterable[int]) -> bool:
     """Does the conflict-free candidate strike back at each of its attackers?"""
-    members = checked_argset(f, candidate)
-    _require_conflict_free(f, members)
-    return _admissible_ok(attack_tables(f), pack(members))
+    return _decide(f, candidate, Semantics.ADMISSIBLE)
 
 
 def is_complete(f: Framework, candidate: Iterable[int]) -> bool:
     """Does the admissible candidate already contain everything it defends?"""
-    members = checked_argset(f, candidate)
-    _require_conflict_free(f, members)
-    tables = attack_tables(f)
-    mask = pack(members)
-    if not _admissible_ok(tables, mask):
-        raise PreconditionError("candidate set is not admissible")
-    return _complete_ok(tables, mask)
+    return _decide(f, candidate, Semantics.COMPLETE)
 
 
 def stable_on_norm_form(nf: NormForm) -> bool:
@@ -198,45 +207,23 @@ def complete_on_norm_form(nf: NormForm) -> bool:
 
 def range_of(f: Framework, candidate: Iterable[int]) -> ArgSet:
     """The candidate set plus every argument it attacks."""
-    members = checked_argset(f, candidate)
+    _, mask, plus, _, _ = _node(attack_tables(f), checked_argset(f, candidate))
+    return unpack(mask | plus)
+
+
+def _family(f: Framework, tag: Semantics) -> Iterable[_Node]:
+    """The walk nodes of every conflict-free set the core criterion of ``tag`` keeps."""
     tables = attack_tables(f)
-    mask = pack(members)
-    for a in members:
-        mask |= tables.targets[a]
-    return unpack(mask)
+    return _select(tag, tables, _walk(tables))
 
 
 def compute_family(f: Framework, tag: Semantics | str) -> ExtensionFamily:
     """All extensions under a core tag (cf, st, ad, co), by filtering the
-    conflict-free enumeration through the matrix criterion."""
+    conflict-free walk through the word test of the criterion."""
     tag = Semantics(tag)
     if tag not in CORE_SEMANTICS:
         raise ValueError(f"{tag.value} is a derived semantics; use compute_derived")
-    tables = attack_tables(f)
-    keep = []
-    for s in iter_conflict_free(f):
-        mask = pack(s)
-        if tag is Semantics.CONFLICT_FREE:
-            keep.append(s)
-        elif tag is Semantics.STABLE:
-            if _stable_ok(tables, mask):
-                keep.append(s)
-        elif tag is Semantics.ADMISSIBLE:
-            if _admissible_ok(tables, mask):
-                keep.append(s)
-        else:
-            if _admissible_ok(tables, mask) and _complete_ok(tables, mask):
-                keep.append(s)
-    return ExtensionFamily(tag, frozenset(keep))
-
-
-def _admissible_masks(f: Framework) -> list[int]:
-    tables = attack_tables(f)
-    return [
-        mask
-        for s in iter_conflict_free(f)
-        if _admissible_ok(tables, mask := pack(s))
-    ]
+    return ExtensionFamily(tag, frozenset(v[0] for v in _family(f, tag)))
 
 
 def _maximal(masks: list[int]) -> list[int]:
@@ -264,14 +251,14 @@ def _largest_inside(masks: list[int], fence: int, what: str) -> list[int]:
     return top
 
 
-def _range_maximal(tables: AttackTables, masks: list[int]) -> list[int]:
-    """The masks whose range is not a proper subset of another's range."""
-    reach = {m: _range_mask(tables, m) for m in masks}
-    ranges = list(reach.values())
+def _range_maximal(admissible: list[tuple[int, int]]) -> list[int]:
+    """The masks whose range is not a proper subset of another's range,
+    from ``(mask, range)`` pairs."""
+    ranges = [r for _, r in admissible]
     return [
         m
-        for m in masks
-        if not any(reach[m] != r and reach[m] & ~r == 0 for r in ranges)
+        for m, reach in admissible
+        if not any(reach != r and reach & ~r == 0 for r in ranges)
     ]
 
 
@@ -281,42 +268,33 @@ def compute_derived(f: Framework, tag: Semantics | str) -> ExtensionFamily:
     tag = Semantics(tag)
     if tag not in DERIVED_SEMANTICS:
         raise ValueError(f"{tag.value} is a core semantics; use compute_family")
-    tables = attack_tables(f)
-    admissible = _admissible_masks(f)
-
-    if tag is Semantics.PREFERRED:
-        chosen = _maximal(admissible)
-    elif tag is Semantics.GROUNDED:
-        complete = [m for m in admissible if _complete_ok(tables, m)]
-        chosen = _minimal(complete)
+    if tag is Semantics.GROUNDED:
+        chosen = _minimal([v[1] for v in _family(f, Semantics.COMPLETE)])
         if len(chosen) != 1:
             raise InternalInvariantError(
                 f"grounded: expected a unique minimal complete set, got {len(chosen)}"
             )
+        return ExtensionFamily(tag, frozenset(unpack(m) for m in chosen))
+
+    ranged = [(v[1], v[1] | v[2]) for v in _family(f, Semantics.ADMISSIBLE)]
+    admissible = [m for m, _ in ranged]
+    full = attack_tables(f).full
+    if tag is Semantics.PREFERRED:
+        chosen = _maximal(admissible)
     elif tag is Semantics.SEMI_STABLE:
-        chosen = _range_maximal(tables, admissible)
+        chosen = _range_maximal(ranged)
     elif tag is Semantics.IDEAL:
-        fence = tables.full
+        fence = full
         for m in _maximal(admissible):
             fence &= m
         chosen = _largest_inside(admissible, fence, "ideal")
     else:  # EAGER
-        fence = tables.full
-        for m in _range_maximal(tables, admissible):
+        fence = full
+        for m in _range_maximal(ranged):
             fence &= m
         chosen = _largest_inside(admissible, fence, "eager")
 
     return ExtensionFamily(tag, frozenset(unpack(m) for m in chosen))
-
-
-def _range_mask(tables: AttackTables, mask: int) -> int:
-    reach = mask
-    rest = mask
-    while rest:
-        low = rest & -rest
-        reach |= tables.targets[low.bit_length()]
-        rest ^= low
-    return reach
 
 
 def extensions(f: Framework, tag: Semantics | str) -> ExtensionFamily:

@@ -1,6 +1,7 @@
 """Shared fixtures-in-code for the test suite.
 
 Holds the small hand-checked frameworks the unit tests revolve around,
+a hypothesis strategy for arbitrary small frameworks,
 naive grid-walking reference implementations of the sub-block criteria
 (independent of the packed-word path in the library), and the seeded
 corpus builder used by the differential and acceptance tests.
@@ -9,6 +10,8 @@ corpus builder used by the differential and acceptance tests.
 from __future__ import annotations
 
 from itertools import chain, combinations
+
+from hypothesis import strategies as st
 
 from afmat import Framework, GeneratorConfig, SubBlocks, generate
 from afmat.core import ArgSet, Grid
@@ -35,6 +38,16 @@ NAMED_FRAMEWORKS = {
     "af5c": AF5C,
     "af5d": AF5D,
 }
+
+
+@st.composite
+def frameworks(draw, max_n: int = 7):
+    """Hypothesis strategy: any framework on up to ``max_n`` arguments."""
+    n = draw(st.integers(0, max_n))
+    if n == 0:
+        return Framework(0)
+    pairs = st.tuples(st.integers(1, n), st.integers(1, n))
+    return Framework(n, draw(st.frozensets(pairs, max_size=n * n)))
 
 
 def powerset(f: Framework):

@@ -1,9 +1,9 @@
-"""Compatibility sets and level-wise conflict-free enumeration."""
+"""Compatibility sets and the depth-first conflict-free walk."""
 
 from __future__ import annotations
 
 import pytest
-from helpers import AF5A, naive_conflict_free
+from helpers import AF5A, frameworks, naive_conflict_free
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -14,15 +14,6 @@ from afmat import (
     is_conflict_free,
     iter_conflict_free,
 )
-
-
-@st.composite
-def frameworks(draw, max_n: int = 7):
-    n = draw(st.integers(0, max_n))
-    if n == 0:
-        return Framework(0)
-    pairs = st.tuples(st.integers(1, n), st.integers(1, n))
-    return Framework(n, draw(st.frozensets(pairs, max_size=n * n)))
 
 
 class TestIsConflictFree:
@@ -111,6 +102,11 @@ class TestEnumeration:
             (), (1,), (2,), (3,), (4,), (5,),
             (1, 3), (1, 4), (1, 5), (2, 4), (3, 5), (1, 3, 5),
         ]
+
+    @given(frameworks())
+    def test_stream_order_is_cardinality_then_lexicographic(self, f):
+        expected = sorted(naive_conflict_free(f), key=lambda s: (len(s), s))
+        assert list(iter_conflict_free(f)) == expected
 
     def test_no_attacks_gives_power_set(self):
         family = enumerate_conflict_free(Framework(3))

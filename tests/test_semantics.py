@@ -11,11 +11,14 @@ from helpers import (
     CYCLE3,
     admissible_by_blocks,
     complete_by_blocks,
+    frameworks,
     stable_by_blocks,
 )
+from hypothesis import given
 
 from afmat import (
     Framework,
+    GeneratorConfig,
     InternalInvariantError,
     PreconditionError,
     Semantics,
@@ -26,16 +29,19 @@ from afmat import (
     compute_derived,
     compute_family,
     credulously_accepted,
+    enumerate_conflict_free,
     extensions,
     extensions_attacking,
     extensions_containing,
     extract_subblocks,
+    generate,
     is_admissible,
     is_complete,
     is_conflict_free,
     is_stable,
     iter_conflict_free,
     natural_matrix,
+    oracle_defends,
     oracle_family,
     oracle_grounded_fixpoint,
     query,
@@ -117,6 +123,15 @@ class TestNormFormCriteria:
         assert stable_on_norm_form(to_norm_form(AF5A, (1, 3, 5)))
         assert not stable_on_norm_form(to_norm_form(AF5A, (1, 3)))
         assert admissible_on_norm_form(to_norm_form(AF5D, (3, 4)))
+
+    @given(frameworks())
+    def test_word_tests_agree_with_norm_form(self, f):
+        for s in iter_conflict_free(f):
+            nf = to_norm_form(f, s)
+            admissible = is_admissible(f, s)
+            assert is_stable(f, s) == stable_on_norm_form(nf)
+            assert admissible == admissible_on_norm_form(nf)
+            assert (admissible and is_complete(f, s)) == complete_on_norm_form(nf)
 
     def test_all_routes_agree(self, small_corpus):
         """Packed-row criteria, grid sub-block walks, norm-form reads and the
@@ -258,6 +273,38 @@ class TestFamilyInvariants:
                     for s in extensions(f, tag).sets
                 }
                 assert extensions(g, tag).sets == relabelled
+
+
+# Sparse frameworks past the oracle's exhaustive bound (n = 13..20).
+BEYOND_ORACLE = [
+    generate(GeneratorConfig(n=n, p=p, seed=2000 + n))
+    for n, p in ((13, 0.1), (14, 0.08), (16, 0.07), (17, 0.09), (18, 0.06), (20, 0.05))
+]
+
+
+class TestBeyondOracleBound:
+    """The fast paths against the plain route where the oracle refuses:
+    the conflict-free family filtered through the literal clauses, written
+    on ``f.attacks`` and ``oracle_defends`` alone."""
+
+    @pytest.mark.parametrize("f", BEYOND_ORACLE, ids=lambda f: f"n{f.n}")
+    def test_core_families_match_literal_clauses(self, f):
+        expected = {"st": set(), "ad": set(), "co": set()}
+        for s in enumerate_conflict_free(f).all_sets():
+            inside = set(s)
+            defended = {a for a in f.arguments if oracle_defends(f, s, a)}
+            if all(any((b, a) in f.attacks for b in s) for a in f.arguments if a not in inside):
+                expected["st"].add(s)
+            if inside <= defended:
+                expected["ad"].add(s)
+                if defended <= inside:
+                    expected["co"].add(s)
+        for tag, sets in expected.items():
+            assert extensions(f, tag).sets == sets, tag
+
+    @pytest.mark.parametrize("f", BEYOND_ORACLE, ids=lambda f: f"n{f.n}")
+    def test_grounded_matches_fixpoint(self, f):
+        assert extensions(f, "gr").ordered() == [oracle_grounded_fixpoint(f)]
 
 
 class TestRange:
