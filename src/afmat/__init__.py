@@ -2,9 +2,10 @@
 
 The library represents an argumentation framework as a Boolean attack
 matrix, enumerates its conflict-free sets in one depth-first walk over
-per-argument compatibility sets, and decides the standard semantics (stable,
-admissible, complete, preferred, grounded, ideal, semi-stable, eager)
-through sub-block and norm-form criteria on that matrix. A deliberately
+per-argument compatibility sets, and computes the extensions of the
+standard semantics (stable, admissible, complete, preferred, grounded,
+ideal, semi-stable, eager) with :func:`extensions` and answers the
+acceptance questions about them with :func:`query`. A deliberately
 naive brute-force reference implementation is included for differential
 verification, plus TGF/APX file support, a reproducible random generator
 and a command-line front end (``afmat solve | gen | verify``).
@@ -47,28 +48,16 @@ from .oracle import (
     oracle_grounded_fixpoint,
 )
 from .semantics import (
-    CORE_SEMANTICS,
-    DERIVED_SEMANTICS,
-    SINGLETON_SEMANTICS,
     ExtensionFamily,
     Semantics,
     admissible_on_norm_form,
-    attacked_by_all,
-    attacked_by_some,
     complete_on_norm_form,
-    compute_derived,
-    compute_family,
-    credulously_accepted,
     extensions,
-    extensions_attacking,
-    extensions_containing,
     is_admissible,
     is_complete,
     is_stable,
     query,
     range_of,
-    skeptically_accepted,
-    some_extension,
     stable_on_norm_form,
 )
 
@@ -79,8 +68,6 @@ __all__ = [
     "Attack",
     "AttackMatrix",
     "CfFamily",
-    "CORE_SEMANTICS",
-    "DERIVED_SEMANTICS",
     "ExtensionFamily",
     "Framework",
     "GeneratorConfig",
@@ -94,24 +81,16 @@ __all__ = [
     "ParseError",
     "PreconditionError",
     "Semantics",
-    "SINGLETON_SEMANTICS",
     "SubBlocks",
     "admissible_on_norm_form",
     "argset",
-    "attacked_by_all",
-    "attacked_by_some",
     "basic_sets",
     "build_matrix",
     "check_permutation",
     "complete_on_norm_form",
-    "compute_derived",
-    "compute_family",
-    "credulously_accepted",
     "dual_interchange",
     "enumerate_conflict_free",
     "extensions",
-    "extensions_attacking",
-    "extensions_containing",
     "extract_subblocks",
     "format_apx",
     "format_tgf",
@@ -130,8 +109,6 @@ __all__ = [
     "query",
     "range_of",
     "relabel",
-    "skeptically_accepted",
-    "some_extension",
     "stable_on_norm_form",
     "to_norm_form",
 ]

@@ -90,20 +90,19 @@ def _read_framework(args) -> tuple:
 
 def _cmd_solve(args) -> int:
     f, names = _read_framework(args)
-    tag = Semantics(args.semantics)
+    target = None
     if args.task in _LOCAL_TASKS:
         if args.arg is None:
             raise ValueError(f"task {args.task} needs --arg")
         target = names.id_of(args.arg)
-        answer = semantics.query(f, args.task, tag, target)
-        print("YES" if answer else "NO")
-        return EXIT_OK
+    answer = semantics.query(f, args.task, args.semantics, target)
     if args.task == "EE":
-        for ext in semantics.query(f, "EE", tag):
+        for ext in answer:
             print(render_argset(ext, names))
-        return EXIT_OK
-    witness = semantics.query(f, "SE", tag)
-    print("NO" if witness is None else render_argset(witness, names))
+    elif args.task == "SE":
+        print("NO" if answer is None else render_argset(answer, names))
+    else:
+        print("YES" if answer else "NO")
     return EXIT_OK
 
 

@@ -42,7 +42,7 @@ from .core import (
     argset,
     attack_tables,
     checked_argset,
-    pack,
+    internal_attack,
     unpack,
 )
 
@@ -52,10 +52,7 @@ _Node = tuple[ArgSet, int, int, int, int]
 
 def is_conflict_free(f: Framework, candidate: Iterable[int]) -> bool:
     """True iff the candidate's inner sub-block is all zero."""
-    members = checked_argset(f, candidate)
-    tables = attack_tables(f)
-    mask = pack(members)
-    return all(tables.targets[a] & mask == 0 for a in members)
+    return internal_attack(f, checked_argset(f, candidate)) is None
 
 
 def _compat_masks(tables: AttackTables) -> list[int]:

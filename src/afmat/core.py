@@ -153,6 +153,15 @@ def internal_attack(f: Framework, members: ArgSet) -> Attack | None:
     return None
 
 
+def _require_conflict_free(f: Framework, members: ArgSet) -> None:
+    clash = internal_attack(f, members)
+    if clash is not None:
+        raise PreconditionError(
+            f"candidate set is not conflict-free: {clash[0]} attacks {clash[1]}",
+            pair=clash,
+        )
+
+
 @dataclass(frozen=True)
 class AttackMatrix:
     """Boolean matrix of a framework under a fixed label sequence.
@@ -363,12 +372,7 @@ def to_norm_form(f: Framework, candidate: Iterable[int]) -> NormForm:
     gathered next to the members the same way.
     """
     members = checked_argset(f, candidate)
-    clash = internal_attack(f, members)
-    if clash is not None:
-        raise PreconditionError(
-            f"candidate set is not conflict-free: {clash[0]} attacks {clash[1]}",
-            pair=clash,
-        )
+    _require_conflict_free(f, members)
     k = len(members)
     m = _group_zone(natural_matrix(f), frozenset(members), 1, k)
 

@@ -40,15 +40,27 @@ admissible set inside the intersection of all preferred / all
 semi-stable extensions. They take the admissible masks with their
 ranges, and the complete masks, straight from the walk.
 
-Family computations and acceptance queries are deterministic: families
-order their sets by cardinality and then lexicographically.
+Every extension of every tag comes from one place, ``_extensions``: it
+yields the walk node ``(set, mask, plus, minus, cand)`` of each
+extension. For a core tag (cf, st, ad, co) that is the walk itself,
+filtered lazily by the word test; for a derived tag it is one node per
+mask the family comparison picks. :func:`extensions` collects the sets,
+and :func:`query` answers each catalogue question from a table entry of
+two parts: a word test on a node against the target mask t (contains
+the target, ``t & ~mask == 0``, or attacks it, ``plus & t != 0``) and a
+summary of the nodes (some, all, the first, or the ordered list of those
+that pass). On a core tag, some / all stop at the first witness or
+counterexample.
+
+Families and answers are deterministic: sets are ordered by cardinality
+and then lexicographically.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .conflictfree import _Node, _walk
 from .core import (
@@ -58,9 +70,10 @@ from .core import (
     InternalInvariantError,
     NormForm,
     PreconditionError,
+    _require_conflict_free,
     attack_tables,
     checked_argset,
-    internal_attack,
+    pack,
     unpack,
 )
 
@@ -79,20 +92,12 @@ class Semantics(str, Enum):
     EAGER = "eg"
 
 
-CORE_SEMANTICS = (
-    Semantics.CONFLICT_FREE,
-    Semantics.STABLE,
-    Semantics.ADMISSIBLE,
-    Semantics.COMPLETE,
-)
-DERIVED_SEMANTICS = (
-    Semantics.PREFERRED,
-    Semantics.GROUNDED,
-    Semantics.IDEAL,
-    Semantics.SEMI_STABLE,
-    Semantics.EAGER,
-)
-SINGLETON_SEMANTICS = (Semantics.GROUNDED, Semantics.IDEAL, Semantics.EAGER)
+# Tags decided by a word test on each walk node; the rest compare families.
+_CORE = (Semantics.CONFLICT_FREE, Semantics.STABLE, Semantics.ADMISSIBLE, Semantics.COMPLETE)
+
+
+def _order(s: ArgSet) -> tuple[int, ArgSet]:
+    return len(s), s
 
 
 @dataclass(frozen=True)
@@ -113,16 +118,7 @@ class ExtensionFamily:
 
     def ordered(self) -> list[ArgSet]:
         """Sets sorted by cardinality, then lexicographically."""
-        return sorted(self.sets, key=lambda s: (len(s), s))
-
-
-def _require_conflict_free(f: Framework, members: ArgSet) -> None:
-    clash = internal_attack(f, members)
-    if clash is not None:
-        raise PreconditionError(
-            f"candidate set is not conflict-free: {clash[0]} attacks {clash[1]}",
-            pair=clash,
-        )
+        return sorted(self.sets, key=_order)
 
 
 def _node(tables: AttackTables, members: ArgSet) -> _Node:
@@ -211,21 +207,6 @@ def range_of(f: Framework, candidate: Iterable[int]) -> ArgSet:
     return unpack(mask | plus)
 
 
-def _family(f: Framework, tag: Semantics) -> Iterable[_Node]:
-    """The walk nodes of every conflict-free set the core criterion of ``tag`` keeps."""
-    tables = attack_tables(f)
-    return _select(tag, tables, _walk(tables))
-
-
-def compute_family(f: Framework, tag: Semantics | str) -> ExtensionFamily:
-    """All extensions under a core tag (cf, st, ad, co), by filtering the
-    conflict-free walk through the word test of the criterion."""
-    tag = Semantics(tag)
-    if tag not in CORE_SEMANTICS:
-        raise ValueError(f"{tag.value} is a derived semantics; use compute_derived")
-    return ExtensionFamily(tag, frozenset(v[0] for v in _family(f, tag)))
-
-
 def _maximal(masks: list[int]) -> list[int]:
     out: list[int] = []
     for m in sorted(masks, key=lambda x: x.bit_count(), reverse=True):
@@ -242,120 +223,98 @@ def _minimal(masks: list[int]) -> list[int]:
     return out
 
 
-def _largest_inside(masks: list[int], fence: int, what: str) -> list[int]:
-    """The unique inclusion-maximal mask among ``masks`` confined to ``fence``."""
-    inside = [m for m in masks if m & ~fence == 0]
-    top = _maximal(inside)
-    if len(top) != 1:
-        raise InternalInvariantError(f"{what}: expected a unique maximal set, got {len(top)}")
-    return top
-
-
 def _range_maximal(admissible: list[tuple[int, int]]) -> list[int]:
     """The masks whose range is not a proper subset of another's range,
-    from ``(mask, range)`` pairs."""
-    ranges = [r for _, r in admissible]
-    return [
-        m
-        for m, reach in admissible
-        if not any(reach != r and reach & ~r == 0 for r in ranges)
-    ]
+    from ``(mask, range)`` pairs. Only the distinct ranges are compared,
+    so the time does not depend on the order of the pairs."""
+    top = set(_maximal(list({r for _, r in admissible})))
+    return [m for m, reach in admissible if reach in top]
 
 
-def compute_derived(f: Framework, tag: Semantics | str) -> ExtensionFamily:
-    """All extensions under a derived tag (pr, gr, id, sst, eg), by set
-    comparison over the admissible / complete families."""
-    tag = Semantics(tag)
-    if tag not in DERIVED_SEMANTICS:
-        raise ValueError(f"{tag.value} is a core semantics; use compute_family")
+def _derived(tables: AttackTables, tag: Semantics) -> list[int]:
+    """The masks of every extension under a derived tag (pr, gr, id, sst,
+    eg), by set comparison over the admissible / complete families."""
     if tag is Semantics.GROUNDED:
-        chosen = _minimal([v[1] for v in _family(f, Semantics.COMPLETE)])
+        chosen = _minimal([v[1] for v in _select(Semantics.COMPLETE, tables, _walk(tables))])
         if len(chosen) != 1:
             raise InternalInvariantError(
                 f"grounded: expected a unique minimal complete set, got {len(chosen)}"
             )
-        return ExtensionFamily(tag, frozenset(unpack(m) for m in chosen))
+        return chosen
 
-    ranged = [(v[1], v[1] | v[2]) for v in _family(f, Semantics.ADMISSIBLE)]
+    ranged = [(v[1], v[1] | v[2]) for v in _select(Semantics.ADMISSIBLE, tables, _walk(tables))]
     admissible = [m for m, _ in ranged]
-    full = attack_tables(f).full
     if tag is Semantics.PREFERRED:
-        chosen = _maximal(admissible)
-    elif tag is Semantics.SEMI_STABLE:
-        chosen = _range_maximal(ranged)
-    elif tag is Semantics.IDEAL:
-        fence = full
-        for m in _maximal(admissible):
-            fence &= m
-        chosen = _largest_inside(admissible, fence, "ideal")
-    else:  # EAGER
-        fence = full
-        for m in _range_maximal(ranged):
-            fence &= m
-        chosen = _largest_inside(admissible, fence, "eager")
+        return _maximal(admissible)
+    if tag is Semantics.SEMI_STABLE:
+        return _range_maximal(ranged)
 
-    return ExtensionFamily(tag, frozenset(unpack(m) for m in chosen))
+    # ideal / eager: the unique largest admissible set inside the
+    # intersection of all preferred / all semi-stable extensions
+    fence = tables.full
+    for m in _maximal(admissible) if tag is Semantics.IDEAL else _range_maximal(ranged):
+        fence &= m
+    top = _maximal([m for m in admissible if m & ~fence == 0])
+    if len(top) != 1:
+        raise InternalInvariantError(
+            f"{tag.name.lower()}: expected a unique maximal set, got {len(top)}"
+        )
+    return top
+
+
+def _extensions(f: Framework, tag: Semantics) -> Iterable[_Node]:
+    """The walk node of every extension of ``f`` under ``tag``. Core tags
+    filter the walk lazily; derived tags pick their masks up front."""
+    tables = attack_tables(f)
+    if tag in _CORE:
+        return _select(tag, tables, _walk(tables))
+    return (_node(tables, unpack(m)) for m in _derived(tables, tag))
 
 
 def extensions(f: Framework, tag: Semantics | str) -> ExtensionFamily:
     """All extensions under any supported tag."""
     tag = Semantics(tag)
-    if tag in CORE_SEMANTICS:
-        return compute_family(f, tag)
-    return compute_derived(f, tag)
+    return ExtensionFamily(tag, frozenset(v[0] for v in _extensions(f, tag)))
 
 
-def _as_target(f: Framework, target: int | Iterable[int]) -> ArgSet:
-    if isinstance(target, int):
-        target = (target,)
-    return checked_argset(f, target)
+def _contains(t: int) -> Callable[[_Node], bool]:
+    return lambda v: t & ~v[1] == 0
 
 
-def _extension_attacks(f: Framework, extension: ArgSet, target: ArgSet) -> bool:
+def _attacks(t: int) -> Callable[[_Node], bool]:
     """An extension attacks a set iff some member attacks some target member."""
-    return any((e, a) in f.attacks for e in extension for a in target)
+    return lambda v: v[2] & t != 0
 
 
-def some_extension(f: Framework, tag: Semantics | str) -> ArgSet | None:
-    """The first extension in family order, or None when there is none."""
-    ordered = extensions(f, tag).ordered()
-    return ordered[0] if ordered else None
+def _some(nodes: Iterable[_Node], hit: Callable[[_Node], bool]) -> bool:
+    return any(hit(v) for v in nodes)
 
 
-def credulously_accepted(f: Framework, tag: Semantics | str, target: int | Iterable[int]) -> bool:
-    """Is the target contained in at least one extension?"""
-    t = set(_as_target(f, target))
-    return any(t <= set(e) for e in extensions(f, tag).sets)
+def _every(nodes: Iterable[_Node], hit: Callable[[_Node], bool]) -> bool:
+    return all(hit(v) for v in nodes)
 
 
-def skeptically_accepted(f: Framework, tag: Semantics | str, target: int | Iterable[int]) -> bool:
-    """Is the target contained in every extension? Vacuously true when the
-    family is empty."""
-    t = set(_as_target(f, target))
-    return all(t <= set(e) for e in extensions(f, tag).sets)
+def _first(nodes: Iterable[_Node], hit: Callable[[_Node], bool]) -> ArgSet | None:
+    return min((v[0] for v in nodes if hit(v)), key=_order, default=None)
 
 
-def attacked_by_some(f: Framework, tag: Semantics | str, target: int | Iterable[int]) -> bool:
-    """Does at least one extension attack the target?"""
-    t = _as_target(f, target)
-    return any(_extension_attacks(f, e, t) for e in extensions(f, tag).sets)
+def _listed(nodes: Iterable[_Node], hit: Callable[[_Node], bool]) -> list[ArgSet]:
+    return sorted((v[0] for v in nodes if hit(v)), key=_order)
 
 
-def attacked_by_all(f: Framework, tag: Semantics | str, target: int | Iterable[int]) -> bool:
-    """Does every extension attack the target? Vacuously true when the
-    family is empty."""
-    t = _as_target(f, target)
-    return all(_extension_attacks(f, e, t) for e in extensions(f, tag).sets)
-
-
-def extensions_containing(f: Framework, tag: Semantics | str, target: int | Iterable[int]) -> list[ArgSet]:
-    t = set(_as_target(f, target))
-    return [e for e in extensions(f, tag).ordered() if t <= set(e)]
-
-
-def extensions_attacking(f: Framework, tag: Semantics | str, target: int | Iterable[int]) -> list[ArgSet]:
-    t = _as_target(f, target)
-    return [e for e in extensions(f, tag).ordered() if _extension_attacks(f, e, t)]
+# question -> (summary over the extensions, test of one extension against the target mask)
+_QUESTIONS = {
+    "DC": (_some, _contains),
+    "DS": (_every, _contains),
+    "AC": (_some, _attacks),
+    "AS": (_every, _attacks),
+    "SE-containing": (_first, _contains),
+    "EE-containing": (_listed, _contains),
+    "SE-attacking": (_first, _attacks),
+    "EE-attacking": (_listed, _attacks),
+}
+# The global questions: containment of the empty target.
+_GLOBAL = {"exists": "DC", "SE": "SE-containing", "EE": "EE-containing"}
 
 
 def query(
@@ -375,30 +334,12 @@ def query(
     quantified answers are vacuously true for an empty family.
     """
     tag = Semantics(tag)
-    if question == "exists":
-        return len(extensions(f, tag)) > 0
-    if question == "SE":
-        return some_extension(f, tag)
-    if question == "EE":
-        return extensions(f, tag).ordered()
+    if question in _GLOBAL:
+        question, target = _GLOBAL[question], ()
+    if question not in _QUESTIONS:
+        raise ValueError(f"unknown question {question!r}")
     if target is None:
         raise ValueError(f"question {question!r} needs a target argument or set")
-    if question == "DC":
-        return credulously_accepted(f, tag, target)
-    if question == "DS":
-        return skeptically_accepted(f, tag, target)
-    if question == "AC":
-        return attacked_by_some(f, tag, target)
-    if question == "AS":
-        return attacked_by_all(f, tag, target)
-    if question == "EE-containing":
-        return extensions_containing(f, tag, target)
-    if question == "SE-containing":
-        found = extensions_containing(f, tag, target)
-        return found[0] if found else None
-    if question == "EE-attacking":
-        return extensions_attacking(f, tag, target)
-    if question == "SE-attacking":
-        found = extensions_attacking(f, tag, target)
-        return found[0] if found else None
-    raise ValueError(f"unknown question {question!r}")
+    summary, test = _QUESTIONS[question]
+    t = pack(checked_argset(f, (target,) if isinstance(target, int) else target))
+    return summary(_extensions(f, tag), test(t))

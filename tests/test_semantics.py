@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 from helpers import (
     AF5A,
@@ -14,7 +16,8 @@ from helpers import (
     frameworks,
     stable_by_blocks,
 )
-from hypothesis import given
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from afmat import (
     Framework,
@@ -23,16 +26,9 @@ from afmat import (
     PreconditionError,
     Semantics,
     admissible_on_norm_form,
-    attacked_by_all,
-    attacked_by_some,
     complete_on_norm_form,
-    compute_derived,
-    compute_family,
-    credulously_accepted,
     enumerate_conflict_free,
     extensions,
-    extensions_attacking,
-    extensions_containing,
     extract_subblocks,
     generate,
     is_admissible,
@@ -47,11 +43,11 @@ from afmat import (
     query,
     range_of,
     relabel,
-    skeptically_accepted,
-    some_extension,
     stable_on_norm_form,
     to_norm_form,
 )
+from afmat.core import pack, unpack
+from afmat.semantics import _range_maximal
 
 ALL_TAGS = list(Semantics)
 
@@ -166,53 +162,45 @@ class TestNormFormCriteria:
 
 class TestComputeFamily:
     def test_stable_family(self):
-        assert compute_family(AF5A, "st").sets == frozenset({(1, 3, 5)})
+        assert extensions(AF5A, "st").sets == frozenset({(1, 3, 5)})
 
     def test_admissible_family(self):
-        family = compute_family(AF5B, "ad")
+        family = extensions(AF5B, "ad")
         assert family.sets == frozenset({(), (1, 5), (2, 4), (1, 3, 5)})
         assert family.sets == oracle_family(AF5B, "ad").sets
 
     def test_complete_family(self):
-        family = compute_family(AF5C, "co")
+        family = extensions(AF5C, "co")
         assert family.sets == frozenset({(), (2,), (3, 5), (1, 3, 5), (3, 4, 5)})
         assert family.sets == oracle_family(AF5C, "co").sets
 
     def test_conflict_free_family(self):
-        assert len(compute_family(AF5A, "cf")) == 12
+        assert len(extensions(AF5A, "cf")) == 12
 
     def test_ordering(self):
-        assert compute_family(AF5B, "ad").ordered() == [
+        assert extensions(AF5B, "ad").ordered() == [
             (), (1, 5), (2, 4), (1, 3, 5),
         ]
-
-    def test_rejects_derived_tags(self):
-        with pytest.raises(ValueError):
-            compute_family(AF5A, "pr")
 
 
 class TestComputeDerived:
     def test_preferred(self):
-        assert compute_derived(AF5B, "pr").sets == frozenset({(2, 4), (1, 3, 5)})
-        assert compute_derived(AF5C, "pr").sets == frozenset(
+        assert extensions(AF5B, "pr").sets == frozenset({(2, 4), (1, 3, 5)})
+        assert extensions(AF5C, "pr").sets == frozenset(
             {(2,), (1, 3, 5), (3, 4, 5)}
         )
 
     def test_grounded(self):
-        assert compute_derived(AF5D, "gr").sets == frozenset({()})
-        assert compute_derived(AF5A, "gr").sets == frozenset({(1, 3, 5)})
+        assert extensions(AF5D, "gr").sets == frozenset({()})
+        assert extensions(AF5A, "gr").sets == frozenset({(1, 3, 5)})
 
     def test_semi_stable(self):
-        assert compute_derived(AF5A, "sst").sets == frozenset({(1, 3, 5)})
+        assert extensions(AF5A, "sst").sets == frozenset({(1, 3, 5)})
 
     def test_ideal_and_eager(self):
-        assert compute_derived(AF5C, "id").sets == frozenset({()})
-        assert compute_derived(AF5A, "id").sets == frozenset({(1, 3, 5)})
-        assert compute_derived(AF5A, "eg").sets == frozenset({(1, 3, 5)})
-
-    def test_rejects_core_tags(self):
-        with pytest.raises(ValueError):
-            compute_derived(AF5A, "st")
+        assert extensions(AF5C, "id").sets == frozenset({()})
+        assert extensions(AF5A, "id").sets == frozenset({(1, 3, 5)})
+        assert extensions(AF5A, "eg").sets == frozenset({(1, 3, 5)})
 
     def test_three_cycle_has_no_stable_extension(self):
         assert len(extensions(CYCLE3, "st")) == 0
@@ -320,11 +308,84 @@ class TestRange:
                 assert set(s) <= set(reach) <= set(f.arguments)
 
 
+def literal_range_maximal(pairs):
+    """The masks whose range no other range strictly contains, pair by pair."""
+    return [m for m, reach in pairs if not any(reach != r and reach & ~r == 0 for _, r in pairs)]
+
+
+def ranged_admissible(f):
+    """``(mask, range mask)`` of every admissible set, in cardinality order."""
+    return [(pack(s), pack(range_of(f, s))) for s in extensions(f, "ad").ordered()]
+
+
+class TestRangeMaximal:
+    @given(frameworks(), st.data())
+    def test_matches_literal_definition_in_any_order(self, f, data):
+        pairs = data.draw(st.permutations(ranged_admissible(f)))
+        assert _range_maximal(pairs) == literal_range_maximal(pairs)
+
+    def test_time_does_not_depend_on_order(self):
+        # 46k admissible sets. Comparing every range with every other takes
+        # over a minute on them in cardinality order, under a second in walk
+        # preorder; comparing only the distinct ranges does not care.
+        f = generate(GeneratorConfig(n=24, p=0.05, seed=2024))
+        pairs = ranged_admissible(f)
+        start = time.perf_counter()
+        chosen = _range_maximal(pairs)
+        assert time.perf_counter() - start < 5.0
+        assert frozenset(map(unpack, chosen)) == extensions(f, "sst").sets
+
+
+QUESTIONS = (
+    "exists", "SE", "EE", "DC", "DS", "AC", "AS",
+    "SE-containing", "EE-containing", "SE-attacking", "EE-attacking",
+)
+GLOBAL_QUESTIONS, LOCAL_QUESTIONS = QUESTIONS[:3], QUESTIONS[3:]
+
+
+def catalogue_by_sets(f, family, target):
+    """Every question's answer by plain set logic over a family of sets."""
+    fam = sorted(family, key=lambda s: (len(s), s))
+    t = set(target)
+    containing = [e for e in fam if t <= set(e)]
+    attacking = [e for e in fam if any((a, b) in f.attacks for a in e for b in t)]
+    return {
+        "exists": len(fam) > 0,
+        "SE": fam[0] if fam else None,
+        "EE": fam,
+        "DC": len(containing) > 0,
+        "DS": len(containing) == len(fam),
+        "AC": len(attacking) > 0,
+        "AS": len(attacking) == len(fam),
+        "SE-containing": containing[0] if containing else None,
+        "EE-containing": containing,
+        "SE-attacking": attacking[0] if attacking else None,
+        "EE-attacking": attacking,
+    }
+
+
 class TestQueries:
+    @settings(deadline=None)
+    @given(frameworks(max_n=6))
+    @example(CYCLE3)
+    def test_catalogue_matches_oracle(self, f):
+        targets = list(f.arguments) + ([(1, f.n)] if f.n >= 2 else [])
+        for tag in ALL_TAGS:
+            family = oracle_family(f, tag).sets
+            expected = catalogue_by_sets(f, family, ())
+            for q in GLOBAL_QUESTIONS:
+                answer = query(f, q, tag)
+                assert answer == expected[q] and type(answer) is type(expected[q]), (tag, q)
+            for target in targets:
+                expected = catalogue_by_sets(f, family, (target,) if isinstance(target, int) else target)
+                for q in LOCAL_QUESTIONS:
+                    answer = query(f, q, tag, target)
+                    assert answer == expected[q] and type(answer) is type(expected[q]), (tag, q, target)
+
     def test_membership_questions(self):
-        assert credulously_accepted(AF5A, "st", 1)
-        assert not skeptically_accepted(AF5A, "st", 2)
-        assert attacked_by_some(AF5B, "ad", 2)
+        assert query(AF5A, "DC", "st", 1)
+        assert not query(AF5A, "DS", "st", 2)
+        assert query(AF5B, "AC", "ad", 2)
 
     def test_query_dispatch(self):
         assert query(AF5A, "exists", "st") is True
@@ -342,16 +403,16 @@ class TestQueries:
         assert query(AF5A, "SE-attacking", "st", (2, 4)) == (1, 3, 5)
 
     def test_set_valued_targets(self):
-        assert credulously_accepted(AF5A, "st", (1, 3))
-        assert not credulously_accepted(AF5A, "st", (1, 2))
+        assert query(AF5A, "DC", "st", (1, 3))
+        assert not query(AF5A, "DC", "st", (1, 2))
 
     def test_empty_family_conventions(self):
         assert query(CYCLE3, "exists", "st") is False
-        assert some_extension(CYCLE3, "st") is None
-        assert skeptically_accepted(CYCLE3, "st", 1) is True
-        assert attacked_by_all(CYCLE3, "st", 1) is True
-        assert credulously_accepted(CYCLE3, "st", 1) is False
-        assert attacked_by_some(CYCLE3, "st", 1) is False
+        assert query(CYCLE3, "SE", "st") is None
+        assert query(CYCLE3, "DS", "st", 1) is True
+        assert query(CYCLE3, "AS", "st", 1) is True
+        assert query(CYCLE3, "DC", "st", 1) is False
+        assert query(CYCLE3, "AC", "st", 1) is False
 
     def test_errors(self):
         with pytest.raises(ValueError):
@@ -364,8 +425,8 @@ class TestQueries:
             query(AF5A, "DC", "st", 9)
 
     def test_witness_helpers(self):
-        assert extensions_containing(AF5B, "pr", 4) == [(2, 4)]
-        assert extensions_attacking(AF5B, "pr", 3) == [(2, 4)]
+        assert query(AF5B, "EE-containing", "pr", 4) == [(2, 4)]
+        assert query(AF5B, "EE-attacking", "pr", 3) == [(2, 4)]
 
 
 def test_unique_maximal_guard_is_internal():
