@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 from typing import Sequence
 
 from . import semantics
@@ -82,7 +83,7 @@ def _read_framework(args) -> tuple:
     if fmt is None:
         raise ValueError(f"cannot infer format of {args.path!r}; pass --format")
     try:
-        text = open(args.path, encoding="utf-8").read()
+        text = Path(args.path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ValueError(f"cannot read {args.path!r}: {exc}") from exc
     return parse(text, fmt)

@@ -12,8 +12,9 @@ cell (s, t)), so row and column tests reduce to word scans. Positions
 and argument identifiers are 1-based throughout, matching the domain
 convention.
 
-Two structural tools drive the extension criteria in
-:mod:`afmat.semantics`:
+Two structural tools reproduce the paper's exposition; the extension
+criteria in :mod:`afmat.semantics` are word tests on the attack tables
+and call neither, but read the same blocks a word at a time:
 
 * ``extract_subblocks`` reads the four index-partition blocks of the
   natural matrix for a candidate set (inner, outgoing, incoming, outer).
@@ -129,7 +130,13 @@ class AttackTables(NamedTuple):
     loops: int                  # the self-attacking arguments
 
 
-@lru_cache(maxsize=None)
+# How many frameworks keep their attack tables cached. A caller that
+# queries one framework many times hits the cache; a stream of distinct
+# frameworks does not grow memory without bound.
+_TABLES_CACHED = 32
+
+
+@lru_cache(maxsize=_TABLES_CACHED)
 def attack_tables(f: Framework) -> AttackTables:
     targets = [0] * (f.n + 1)
     attackers = [0] * (f.n + 1)
@@ -225,10 +232,10 @@ def build_matrix(f: Framework, permutation: Iterable[int]) -> AttackMatrix:
     return AttackMatrix(f.n, perm, tuple(rows))
 
 
-@lru_cache(maxsize=None)
 def natural_matrix(f: Framework) -> AttackMatrix:
-    """Matrix of ``f`` under the natural label order 1, 2, ..., n."""
-    return build_matrix(f, range(1, f.n + 1))
+    """Matrix of ``f`` under the natural label order 1, 2, ..., n: its
+    rows are the attack tables' target words."""
+    return AttackMatrix(f.n, tuple(f.arguments), attack_tables(f).targets[1:])
 
 
 def dual_interchange(m: AttackMatrix, k: int, l: int) -> AttackMatrix:

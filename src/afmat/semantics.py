@@ -32,25 +32,29 @@ all (q = 0), admissible means the undefeated x members block is zero,
 and complete additionally needs every column of the undefeated square
 block to be non-zero.
 
-The remaining semantics only compare whole families: preferred picks the
-inclusion-maximal admissible sets, grounded the least complete set,
-semi-stable the admissible sets with inclusion-maximal range (the set
-plus everything it attacks), and ideal / eager the single largest
-admissible set inside the intersection of all preferred / all
-semi-stable extensions. They take the admissible masks with their
-ranges, and the complete masks, straight from the walk.
+Preferred picks the inclusion-maximal admissible sets and semi-stable
+the admissible sets with inclusion-maximal range (the set plus
+everything it attacks), from the masks and ranges the walk yields.
+Grounded, ideal and eager come from ``_fixpoint``, which iterates Dung's
+defence function (a set defends every argument whose attackers it all
+attacks) on the bit tables. Grounded is its least fixed point, reached
+from the empty set; it equals the paper's least complete set. Ideal /
+eager is the largest admissible set inside the fence, the intersection
+of all preferred / all semi-stable extensions: the fence is
+conflict-free, so iterating from it inside it falls to that set. Each
+is unique by construction.
 
 Every extension of every tag comes from one place, ``_extensions``: it
 yields the walk node ``(set, mask, plus, minus, cand)`` of each
 extension. For a core tag (cf, st, ad, co) that is the walk itself,
 filtered lazily by the word test; for a derived tag it is one node per
-mask the family comparison picks. :func:`extensions` collects the sets,
-and :func:`query` answers each catalogue question from a table entry of
-two parts: a word test on a node against the target mask t (contains
-the target, ``t & ~mask == 0``, or attacks it, ``plus & t != 0``) and a
-summary of the nodes (some, all, the first, or the ordered list of those
-that pass). On a core tag, some / all stop at the first witness or
-counterexample.
+mask the comparison or the fixpoint picks. :func:`extensions` collects
+the sets, and :func:`query` answers each catalogue question from a table
+entry of two parts: a word test on a node against the target mask t
+(contains the target, ``t & ~mask == 0``, or attacks it,
+``plus & t != 0``) and a summary of the nodes (some, all, the first, or
+the ordered list of those that pass). On a core tag, some / all stop at
+the first witness or counterexample.
 
 Families and answers are deterministic: sets are ordered by cardinality
 and then lexicographically.
@@ -67,7 +71,6 @@ from .core import (
     ArgSet,
     AttackTables,
     Framework,
-    InternalInvariantError,
     NormForm,
     PreconditionError,
     _require_conflict_free,
@@ -215,14 +218,6 @@ def _maximal(masks: list[int]) -> list[int]:
     return out
 
 
-def _minimal(masks: list[int]) -> list[int]:
-    out: list[int] = []
-    for m in sorted(masks, key=lambda x: x.bit_count()):
-        if not any(kept & ~m == 0 for kept in out):
-            out.append(m)
-    return out
-
-
 def _range_maximal(admissible: list[tuple[int, int]]) -> list[int]:
     """The masks whose range is not a proper subset of another's range,
     from ``(mask, range)`` pairs. Only the distinct ranges are compared,
@@ -231,35 +226,36 @@ def _range_maximal(admissible: list[tuple[int, int]]) -> list[int]:
     return [m for m, reach in admissible if reach in top]
 
 
+def _fixpoint(tables: AttackTables, mask: int, within: int) -> int:
+    """Replace ``mask`` by the members of ``within`` whose attackers all
+    lie in the range of ``mask``, until it stops changing."""
+    members = unpack(within)
+    while True:
+        plus = _node(tables, unpack(mask))[2]
+        defended = pack(a for a in members if tables.attackers[a] & ~plus == 0)
+        if defended == mask:
+            return mask
+        mask = defended
+
+
 def _derived(tables: AttackTables, tag: Semantics) -> list[int]:
     """The masks of every extension under a derived tag (pr, gr, id, sst,
-    eg), by set comparison over the admissible / complete families."""
+    eg): pr / sst by comparing the admissible family, gr / id / eg by
+    the defence fixpoint (see the module docstring)."""
     if tag is Semantics.GROUNDED:
-        chosen = _minimal([v[1] for v in _select(Semantics.COMPLETE, tables, _walk(tables))])
-        if len(chosen) != 1:
-            raise InternalInvariantError(
-                f"grounded: expected a unique minimal complete set, got {len(chosen)}"
-            )
-        return chosen
+        return [_fixpoint(tables, 0, tables.full)]
 
     ranged = [(v[1], v[1] | v[2]) for v in _select(Semantics.ADMISSIBLE, tables, _walk(tables))]
-    admissible = [m for m, _ in ranged]
-    if tag is Semantics.PREFERRED:
-        return _maximal(admissible)
-    if tag is Semantics.SEMI_STABLE:
-        return _range_maximal(ranged)
-
-    # ideal / eager: the unique largest admissible set inside the
-    # intersection of all preferred / all semi-stable extensions
+    if tag in (Semantics.SEMI_STABLE, Semantics.EAGER):
+        top = _range_maximal(ranged)
+    else:
+        top = _maximal([m for m, _ in ranged])
+    if tag in (Semantics.PREFERRED, Semantics.SEMI_STABLE):
+        return top
     fence = tables.full
-    for m in _maximal(admissible) if tag is Semantics.IDEAL else _range_maximal(ranged):
+    for m in top:
         fence &= m
-    top = _maximal([m for m in admissible if m & ~fence == 0])
-    if len(top) != 1:
-        raise InternalInvariantError(
-            f"{tag.name.lower()}: expected a unique maximal set, got {len(top)}"
-        )
-    return top
+    return [_fixpoint(tables, fence, fence)]
 
 
 def _extensions(f: Framework, tag: Semantics) -> Iterable[_Node]:

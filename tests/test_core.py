@@ -100,6 +100,7 @@ class TestBuildMatrix:
     def test_round_trip_reconstruction(self, fp):
         f, perm = fp
         assert build_matrix(f, perm).to_framework() == f
+        assert natural_matrix(f) == build_matrix(f, f.arguments)
 
 
 class TestDualInterchange:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import time
+import weakref
 
 import pytest
 from helpers import (
@@ -46,7 +48,7 @@ from afmat import (
     stable_on_norm_form,
     to_norm_form,
 )
-from afmat.core import pack, unpack
+from afmat.core import _TABLES_CACHED, pack, unpack
 from afmat.semantics import _range_maximal
 
 ALL_TAGS = list(Semantics)
@@ -267,6 +269,11 @@ class TestFamilyInvariants:
 BEYOND_ORACLE = [
     generate(GeneratorConfig(n=n, p=p, seed=2000 + n))
     for n, p in ((13, 0.1), (14, 0.08), (16, 0.07), (17, 0.09), (18, 0.06), (20, 0.05))
+] + [
+    # the intersection of the preferred / semi-stable extensions is not
+    # admissible here, so ideal / eager must shrink it
+    generate(GeneratorConfig(n=15, p=0.2, seed=2030)),
+    generate(GeneratorConfig(n=19, p=0.15, seed=2025)),
 ]
 
 
@@ -293,6 +300,40 @@ class TestBeyondOracleBound:
     @pytest.mark.parametrize("f", BEYOND_ORACLE, ids=lambda f: f"n{f.n}")
     def test_grounded_matches_fixpoint(self, f):
         assert extensions(f, "gr").ordered() == [oracle_grounded_fixpoint(f)]
+
+    @pytest.mark.parametrize("f", BEYOND_ORACLE, ids=lambda f: f"n{f.n}")
+    def test_grounded_is_least_complete_set(self, f):
+        complete = extensions(f, "co").sets
+        least = [s for s in complete if all(set(s) <= set(c) for c in complete)]
+        assert extensions(f, "gr").ordered() == least
+
+    @pytest.mark.parametrize("f", BEYOND_ORACLE, ids=lambda f: f"n{f.n}")
+    @pytest.mark.parametrize("tag, outer", [("id", "pr"), ("eg", "sst")])
+    def test_largest_admissible_inside_intersection(self, f, tag, outer):
+        fence = set(f.arguments).intersection(*extensions(f, outer).sets)
+        inside = [s for s in extensions(f, "ad").sets if set(s) <= fence]
+        largest = [s for s in inside if all(set(t) <= set(s) for t in inside)]
+        assert extensions(f, tag).ordered() == largest
+
+    @pytest.mark.parametrize("n, p", [(60, 0.1), (1000, 0.005)])
+    def test_grounded_on_large_frameworks(self, n, p):
+        # Far too many conflict-free sets to walk; the fixpoint is polynomial.
+        f = generate(GeneratorConfig(n=n, p=p, seed=2024))
+        start = time.perf_counter()
+        grounded = extensions(f, "gr").ordered()
+        assert time.perf_counter() - start < 2.0
+        assert grounded == [oracle_grounded_fixpoint(f)]
+
+
+def test_attack_table_cache_lets_dropped_frameworks_go():
+    f = Framework(9, {(9, 1), (1, 9), (4, 4), (2, 7)})
+    extensions(f, "co")
+    dropped = weakref.ref(f)
+    del f
+    for n in range(1, _TABLES_CACHED + 2):
+        extensions(Framework(n, {(a, a) for a in range(1, n + 1)}), "co")
+    gc.collect()
+    assert dropped() is None
 
 
 class TestRange:
