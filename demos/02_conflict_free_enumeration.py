@@ -7,7 +7,9 @@ conflict-free set is produced exactly once; the family is then reported
 level by level (by cardinality).
 """
 
-from afmat import Framework, basic_sets, enumerate_conflict_free, iter_conflict_free
+from itertools import groupby
+
+from afmat import Framework, basic_sets, extensions, iter_conflict_free
 
 f = Framework(5, {(1, 2), (2, 3), (2, 5), (4, 3), (5, 4)})
 print("framework: 1->2, 2->3, 2->5, 4->3, 5->4")
@@ -17,10 +19,9 @@ for i, compatible in basic_sets(f).items():
     print(f"  C({i}) = {sorted(compatible)}")
 
 print("\nlevels of the conflict-free family:")
-family = enumerate_conflict_free(f)
-for r, level in enumerate(family.levels):
-    if level or r <= 1:
-        print(f"  size {r}: {sorted(level)}")
+family = extensions(f, "cf")
+for r, level in groupby(family.ordered(), key=len):
+    print(f"  size {r}: {list(level)}")
 print(f"  total {len(family)} sets")
 
 print("\nthe streaming order (cardinality, then lexicographic):")

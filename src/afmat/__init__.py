@@ -1,9 +1,10 @@
 """Matrix-based computation of extensions for finite argumentation frameworks.
 
 The library represents an argumentation framework as a Boolean attack
-matrix, enumerates its conflict-free sets in one depth-first walk over
-per-argument compatibility sets, and computes the extensions of the
-standard semantics (stable, admissible, complete, preferred, grounded,
+matrix. :mod:`afmat.semantics` enumerates its conflict-free sets in one
+depth-first walk over per-argument compatibility sets and, from the
+same walk, computes the extensions of the standard semantics
+(conflict-free, stable, admissible, complete, preferred, grounded,
 ideal, semi-stable, eager) with :func:`extensions` and answers the
 acceptance questions about them with :func:`query`. A deliberately
 naive brute-force reference implementation is included for differential
@@ -11,13 +12,6 @@ verification, plus TGF/APX file support, a reproducible random generator
 and a command-line front end (``afmat solve | gen | verify``).
 """
 
-from .conflictfree import (
-    CfFamily,
-    basic_sets,
-    enumerate_conflict_free,
-    is_conflict_free,
-    iter_conflict_free,
-)
 from .core import (
     ArgSet,
     Attack,
@@ -51,11 +45,14 @@ from .semantics import (
     ExtensionFamily,
     Semantics,
     admissible_on_norm_form,
+    basic_sets,
     complete_on_norm_form,
     extensions,
     is_admissible,
     is_complete,
+    is_conflict_free,
     is_stable,
+    iter_conflict_free,
     query,
     range_of,
     stable_on_norm_form,
@@ -67,7 +64,6 @@ __all__ = [
     "ArgSet",
     "Attack",
     "AttackMatrix",
-    "CfFamily",
     "ExtensionFamily",
     "Framework",
     "GeneratorConfig",
@@ -89,7 +85,6 @@ __all__ = [
     "check_permutation",
     "complete_on_norm_form",
     "dual_interchange",
-    "enumerate_conflict_free",
     "extensions",
     "extract_subblocks",
     "format_apx",

@@ -86,6 +86,8 @@ def _read_framework(args) -> tuple:
         text = Path(args.path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ValueError(f"cannot read {args.path!r}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{args.path!r} is not UTF-8 text: {exc}") from exc
     return parse(text, fmt)
 
 

@@ -10,8 +10,9 @@ Trivial graph format (``.tgf``), line oriented::
     #                               single separator line
     <src> <dst> [ignored label ...] one line per attack
 
-Every declaration line must start with a name (a whitespace-free token);
-a blank line before the separator is rejected as an empty argument name.
+Every declaration line must start with a name (a whitespace-free token
+other than ``#``); a blank line before the separator is rejected as an
+empty argument name, and a line such as ``# x`` as a ``#`` name.
 Attack lines may be blank (skipped); both endpoints must have been
 declared. Duplicate attack lines collapse, duplicate declarations are an
 error.
@@ -93,6 +94,8 @@ def parse_tgf(text: str) -> tuple[Framework, NameMap]:
         if not stripped:
             raise ParseError(f"line {ln}: empty argument name")
         name = stripped.split()[0]
+        if name == "#":
+            raise ParseError(f"line {ln}: '#' cannot be an argument name; the separator is a lone '#'")
         if name in index:
             raise ParseError(f"line {ln}: duplicate argument name {name!r}")
         index[name] = len(names) + 1

@@ -1,10 +1,32 @@
-"""Extension semantics decided on the attack matrix.
+"""Conflict-free sets and extension semantics, decided on the attack matrix.
 
-The conflict-free walk (:mod:`afmat.conflictfree`) carries three words
-for each conflict-free set S: ``mask`` (S itself), ``plus`` (the OR of
-the members' rows: everything S attacks) and ``minus`` (the OR of their
-columns: everything that attacks S). With ``full`` the word of all
-arguments, the core criteria are tests on those words:
+A set is conflict-free when its inner sub-block is all zero, i.e. no
+member attacks a member (self-attacks included). For each argument i
+that does not attack itself, its compatibility set C(i)
+(:func:`basic_sets`) collects the arguments j != i with no attack in
+either direction between i and j and no self-attack on j. Note the
+conjunctive reading of compatibility: *both* directions between i and j
+must be attack-free, otherwise {i, j} would not be conflict-free in the
+first place. Self-attackers have no compatibility set and appear in no
+enumerated set.
+
+Every family is read off one depth-first walk over the compatibility
+masks, ``_walk``. Each node ``(set, mask, plus, minus, cand)`` carries
+the set S, the bitmask of S, ``plus`` (the OR of the members' rows:
+everything S attacks), ``minus`` (the OR of their columns: everything
+that attacks S) and ``cand``: the arguments above max(S) compatible
+with every member. The child for i in ``cand`` gets ``cand & C(i)``
+restricted to the arguments above i, and ORs the attack rows of i into
+``plus`` and ``minus``. Every child is conflict-free by construction,
+every conflict-free set is reached exactly once, and the stack never
+holds more than O(n^2) nodes. Children are pushed highest first, so the
+walk pops sets in lexicographic preorder; :func:`iter_conflict_free`
+restores the public order (by cardinality, then lexicographic) by
+bucketing the walk by cardinality, which holds the whole family in
+memory before the first set is yielded.
+
+With ``full`` the word of all arguments, the core criteria are tests on
+the words of a node:
 
 * stable      -- ``mask | plus == full``: S attacks every outsider.
 * admissible  -- ``minus & ~plus == 0``: S attacks each of its attackers.
@@ -14,8 +36,8 @@ arguments, the core criteria are tests on those words:
 * range       -- ``mask | plus``.
 
 :func:`is_stable`, :func:`is_admissible`, :func:`is_complete` and
-:func:`range_of` apply the same tests to words OR-ed from a candidate's
-members.
+:func:`range_of` apply the same tests to a node whose words are OR-ed
+from a candidate's members (``_node``).
 
 These are the paper's block tests on the natural matrix
 (:func:`afmat.core.extract_subblocks`) read a word at a time: ``plus``
@@ -45,10 +67,10 @@ conflict-free, so iterating from it inside it falls to that set. Each
 is unique by construction.
 
 Every extension of every tag comes from one place, ``_extensions``: it
-yields the walk node ``(set, mask, plus, minus, cand)`` of each
-extension. For a core tag (cf, st, ad, co) that is the walk itself,
-filtered lazily by the word test; for a derived tag it is one node per
-mask the comparison or the fixpoint picks. :func:`extensions` collects
+yields the walk node of each extension. For a core tag (cf, st, ad,
+co) that is the walk itself, filtered lazily by the word test; for a
+derived tag it is one node per mask the comparison or the fixpoint
+picks. :func:`extensions` collects
 the sets, and :func:`query` answers each catalogue question from a table
 entry of two parts: a word test on a node against the target mask t
 (contains the target, ``t & ~mask == 0``, or attacks it,
@@ -66,7 +88,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Iterator
 
-from .conflictfree import _Node, _walk
 from .core import (
     ArgSet,
     AttackTables,
@@ -74,11 +95,76 @@ from .core import (
     NormForm,
     PreconditionError,
     _require_conflict_free,
+    argset,
     attack_tables,
     checked_argset,
+    internal_attack,
     pack,
     unpack,
 )
+
+# A walk node: (set, mask, plus, minus, cand).
+_Node = tuple[ArgSet, int, int, int, int]
+
+
+def is_conflict_free(f: Framework, candidate: Iterable[int]) -> bool:
+    """True iff the candidate's inner sub-block is all zero."""
+    return internal_attack(f, checked_argset(f, candidate)) is None
+
+
+def _compat_masks(tables: AttackTables) -> list[int]:
+    """C(i) as bitmasks; entry is meaningless for self-attackers."""
+    comp = [0] * (tables.n + 1)
+    for i in range(1, tables.n + 1):
+        comp[i] = (
+            tables.full
+            & ~tables.targets[i]
+            & ~tables.attackers[i]
+            & ~tables.loops
+            & ~(1 << (i - 1))
+        )
+    return comp
+
+
+def basic_sets(f: Framework) -> dict[int, frozenset[int]]:
+    """Compatibility set C(i) for every argument i without a self-attack."""
+    tables = attack_tables(f)
+    comp = _compat_masks(tables)
+    return {
+        i: frozenset(unpack(comp[i]))
+        for i in range(1, f.n + 1)
+        if not (tables.loops >> (i - 1)) & 1
+    }
+
+
+def _walk(tables: AttackTables) -> Iterator[_Node]:
+    """Every conflict-free set as a node, in lexicographic preorder."""
+    targets, attackers = tables.targets, tables.attackers
+    above = [c & ~((1 << i) - 1) for i, c in enumerate(_compat_masks(tables))]  # C(i) above i
+    stack = [((), 0, 0, 0, tables.full & ~tables.loops)]
+    push = stack.append
+    while stack:
+        node = stack.pop()
+        yield node
+        s, mask, plus, minus, cand = node
+        rest = cand
+        while rest:
+            i = rest.bit_length()  # highest first, so pops run in lexicographic preorder
+            bit = 1 << (i - 1)
+            rest ^= bit
+            push((s + (i,), mask | bit, plus | targets[i], minus | attackers[i], cand & above[i]))
+
+
+def iter_conflict_free(f: Framework) -> Iterator[ArgSet]:
+    """Every conflict-free set, by cardinality, lexicographic within one size.
+
+    The whole family is held in memory before the first set is yielded.
+    """
+    buckets: list[list[ArgSet]] = [[] for _ in range(f.n + 1)]
+    for node in _walk(attack_tables(f)):
+        buckets[len(node[0])].append(node[0])
+    for bucket in buckets:
+        yield from bucket
 
 
 class Semantics(str, Enum):
@@ -114,7 +200,7 @@ class ExtensionFamily:
         return len(self.sets)
 
     def __contains__(self, candidate: Iterable[int]) -> bool:
-        return tuple(sorted(set(candidate))) in self.sets
+        return argset(candidate) in self.sets
 
     def __iter__(self) -> Iterator[ArgSet]:
         return iter(self.ordered())

@@ -22,7 +22,6 @@ from afmat import (
     basic_sets,
     build_matrix,
     dual_interchange,
-    enumerate_conflict_free,
     extensions,
     generate,
     is_admissible,
@@ -53,7 +52,7 @@ def _report(number: int, label: str) -> None:
 
 def test_criterion_01_conflict_free_family():
     start = time.perf_counter()
-    family = enumerate_conflict_free(AF5A).all_sets()
+    family = extensions(AF5A, "cf").sets
     assert family == frozenset(
         {(), (1,), (2,), (3,), (4,), (5,), (1, 3), (1, 4), (1, 5), (2, 4),
          (3, 5), (1, 3, 5)}

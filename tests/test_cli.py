@@ -140,6 +140,13 @@ class TestExitCodes:
         assert code == EXIT_PARSE
         assert "parse error" in err
 
+    def test_non_utf8_file_is_a_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "latin.tgf"
+        path.write_bytes(b"a\xff\n#\n")
+        code, _, err = run(capsys, "solve", "--semantics", "st", "--task", "EE", str(path))
+        assert code == EXIT_PARSE
+        assert "parse error" in err and str(path) in err
+
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == EXIT_OK
 

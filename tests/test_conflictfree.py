@@ -7,13 +7,15 @@ from helpers import AF5A, frameworks, naive_conflict_free
 from hypothesis import given
 from hypothesis import strategies as st
 
-from afmat import (
-    Framework,
-    basic_sets,
-    enumerate_conflict_free,
-    is_conflict_free,
-    iter_conflict_free,
-)
+from afmat import Framework, basic_sets, extensions, is_conflict_free, iter_conflict_free
+
+
+def levels(f):
+    """``extensions(f, "cf").sets`` grouped by size: entry r holds the sets of size r."""
+    out = [set() for _ in range(f.n + 1)]
+    for s in extensions(f, "cf").sets:
+        out[len(s)].add(s)
+    return out
 
 
 class TestIsConflictFree:
@@ -83,18 +85,20 @@ class TestBasicSets:
 
 class TestEnumeration:
     def test_known_family(self):
-        family = enumerate_conflict_free(AF5A)
-        assert family.all_sets() == frozenset(
+        family = extensions(AF5A, "cf")
+        assert family.sets == frozenset(
             {(), (1,), (2,), (3,), (4,), (5,), (1, 3), (1, 4), (1, 5), (2, 4),
              (3, 5), (1, 3, 5)}
         )
-        assert family.levels[0] == frozenset({()})
-        assert family.levels[2] == frozenset({(1, 3), (1, 4), (1, 5), (2, 4), (3, 5)})
-        assert family.levels[3] == frozenset({(1, 3, 5)})
-        assert family.levels[4] == frozenset()
-        assert family.levels[5] == frozenset()
+        by_size = levels(AF5A)
+        assert by_size[0] == {()}
+        assert by_size[2] == {(1, 3), (1, 4), (1, 5), (2, 4), (3, 5)}
+        assert by_size[3] == {(1, 3, 5)}
+        assert by_size[4] == set()
+        assert by_size[5] == set()
         assert len(family) == 12
         assert (1, 3) in family
+        assert [3, 1, 3] in family
         assert (1, 2) not in family
 
     def test_stream_is_level_then_lexicographic(self):
@@ -109,27 +113,24 @@ class TestEnumeration:
         assert list(iter_conflict_free(f)) == expected
 
     def test_no_attacks_gives_power_set(self):
-        family = enumerate_conflict_free(Framework(3))
-        assert len(family) == 8
+        assert len(extensions(Framework(3), "cf")) == 8
 
     def test_empty_framework(self):
-        family = enumerate_conflict_free(Framework(0))
-        assert family.all_sets() == frozenset({()})
-        assert family.n == 0
+        assert extensions(Framework(0), "cf").sets == frozenset({()})
 
     def test_seeded_example_matches_power_set_filter(self):
         from afmat import GeneratorConfig, generate
 
         f = generate(GeneratorConfig(n=6, p=0.4, seed=99))
-        assert enumerate_conflict_free(f).all_sets() == naive_conflict_free(f)
+        assert extensions(f, "cf").sets == naive_conflict_free(f)
 
     @given(frameworks())
     def test_matches_power_set_filter(self, f):
-        assert enumerate_conflict_free(f).all_sets() == naive_conflict_free(f)
+        assert extensions(f, "cf").sets == naive_conflict_free(f)
 
     def test_matches_power_set_filter_on_corpus(self, small_corpus):
         for f in small_corpus:
-            assert enumerate_conflict_free(f).all_sets() == naive_conflict_free(f)
+            assert extensions(f, "cf").sets == naive_conflict_free(f)
 
     @given(frameworks())
     def test_no_duplicates_in_stream(self, f):
@@ -138,25 +139,23 @@ class TestEnumeration:
 
     @given(frameworks())
     def test_levels_hold_their_cardinality(self, f):
-        family = enumerate_conflict_free(f)
-        for r, level in enumerate(family.levels):
+        for r, level in enumerate(levels(f)):
             assert all(len(s) == r for s in level)
 
     @given(frameworks())
     def test_downward_closed(self, f):
-        family = enumerate_conflict_free(f)
+        by_size = levels(f)
         for r in range(1, f.n + 1):
-            for s in family.levels[r]:
+            for s in by_size[r]:
                 for drop in range(r):
-                    assert s[:drop] + s[drop + 1 :] in family.levels[r - 1]
+                    assert s[:drop] + s[drop + 1 :] in by_size[r - 1]
 
     @given(frameworks())
     def test_no_level_after_an_empty_one(self, f):
-        family = enumerate_conflict_free(f)
         emptied = False
-        for level in family.levels[1:]:
+        for level in levels(f)[1:]:
             if emptied:
-                assert level == frozenset()
+                assert level == set()
             emptied = emptied or not level
 
     @given(frameworks())

@@ -113,6 +113,11 @@ class TestParseTgf:
         with pytest.raises(ParseError, match="duplicate"):
             parse_tgf("a\na\n#\n")
 
+    def test_hash_declaration_rejected(self):
+        # "# x" is not the separator; "#" as a name could not be written back
+        with pytest.raises(ParseError, match="line 2: '#' cannot be an argument name"):
+            parse_tgf("a\n# x\nb\n#\n")
+
     def test_one_token_attack_line(self):
         with pytest.raises(ParseError, match="source and a target"):
             parse_tgf("a\n#\na\n")

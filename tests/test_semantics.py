@@ -29,7 +29,6 @@ from afmat import (
     Semantics,
     admissible_on_norm_form,
     complete_on_norm_form,
-    enumerate_conflict_free,
     extensions,
     extract_subblocks,
     generate,
@@ -285,7 +284,7 @@ class TestBeyondOracleBound:
     @pytest.mark.parametrize("f", BEYOND_ORACLE, ids=lambda f: f"n{f.n}")
     def test_core_families_match_literal_clauses(self, f):
         expected = {"st": set(), "ad": set(), "co": set()}
-        for s in enumerate_conflict_free(f).all_sets():
+        for s in extensions(f, "cf").sets:
             inside = set(s)
             defended = {a for a in f.arguments if oracle_defends(f, s, a)}
             if all(any((b, a) in f.attacks for b in s) for a in f.arguments if a not in inside):
