@@ -83,7 +83,7 @@ def _read_framework(args) -> tuple:
     if fmt is None:
         raise ValueError(f"cannot infer format of {args.path!r}; pass --format")
     try:
-        text = Path(args.path).read_text(encoding="utf-8")
+        text = Path(args.path).read_text(encoding="utf-8-sig")  # drop a byte-order mark
     except OSError as exc:
         raise ValueError(f"cannot read {args.path!r}: {exc}") from exc
     except UnicodeDecodeError as exc:

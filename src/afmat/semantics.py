@@ -54,23 +54,26 @@ all (q = 0), admissible means the undefeated x members block is zero,
 and complete additionally needs every column of the undefeated square
 block to be non-zero.
 
-Preferred picks the inclusion-maximal admissible sets and semi-stable
-the admissible sets with inclusion-maximal range (the set plus
-everything it attacks), from the masks and ranges the walk yields.
-Grounded, ideal and eager come from ``_fixpoint``, which iterates Dung's
-defence function (a set defends every argument whose attackers it all
-attacks) on the bit tables. Grounded is its least fixed point, reached
-from the empty set; it equals the paper's least complete set. Ideal /
-eager is the largest admissible set inside the fence, the intersection
-of all preferred / all semi-stable extensions: the fence is
-conflict-free, so iterating from it inside it falls to that set. Each
-is unique by construction.
+Preferred and semi-stable compare the complete nodes of the walk with
+one keyed maximality, ``_maximal``: preferred keeps the complete sets
+whose mask is inclusion-maximal (Dung, AIJ 77, 1995), semi-stable those
+whose range ``mask | plus`` is (Caminada, COMMA 2006). Every admissible
+set lies inside a complete one whose range covers its own, so this
+equals the maximal admissible sets and the admissible sets of maximal
+range. Grounded, ideal and eager come from ``_fixpoint``, which iterates
+Dung's defence function (a set defends every argument whose attackers
+it all attacks) on the bit tables. Grounded is its least fixed point,
+reached from the empty set; it equals the paper's least complete set.
+Ideal / eager is the largest admissible set inside the fence, the
+intersection of all preferred / all semi-stable extensions: the fence
+is conflict-free, so iterating from it inside it falls to that set.
+Each is unique by construction.
 
 Every extension of every tag comes from one place, ``_extensions``: it
 yields the walk node of each extension. For a core tag (cf, st, ad,
-co) that is the walk itself, filtered lazily by the word test; for a
-derived tag it is one node per mask the comparison or the fixpoint
-picks. :func:`extensions` collects
+co) that is the walk itself, filtered lazily by the word test; for pr /
+sst it is the maximal complete nodes, and for gr / id / eg the node the
+fixpoint ends on. :func:`extensions` collects
 the sets, and :func:`query` answers each catalogue question from a table
 entry of two parts: a word test on a node against the target mask t
 (contains the target, ``t & ~mask == 0``, or attacks it,
@@ -296,61 +299,50 @@ def range_of(f: Framework, candidate: Iterable[int]) -> ArgSet:
     return unpack(mask | plus)
 
 
-def _maximal(masks: list[int]) -> list[int]:
-    out: list[int] = []
-    for m in sorted(masks, key=lambda x: x.bit_count(), reverse=True):
-        if not any(m & ~kept == 0 for kept in out):
-            out.append(m)
-    return out
+def _maximal(nodes: list[_Node], key: Callable[[_Node], int]) -> list[_Node]:
+    """The nodes whose key word is not a proper subset of another node's
+    key. Only the distinct keys are compared, so the time does not depend
+    on the order of the nodes."""
+    top: list[int] = []
+    for k in sorted({key(v) for v in nodes}, key=int.bit_count, reverse=True):
+        if not any(k & ~kept == 0 for kept in top):
+            top.append(k)
+    keep = set(top)
+    return [v for v in nodes if key(v) in keep]
 
 
-def _range_maximal(admissible: list[tuple[int, int]]) -> list[int]:
-    """The masks whose range is not a proper subset of another's range,
-    from ``(mask, range)`` pairs. Only the distinct ranges are compared,
-    so the time does not depend on the order of the pairs."""
-    top = set(_maximal(list({r for _, r in admissible})))
-    return [m for m, reach in admissible if reach in top]
-
-
-def _fixpoint(tables: AttackTables, mask: int, within: int) -> int:
+def _fixpoint(tables: AttackTables, mask: int, within: int) -> _Node:
     """Replace ``mask`` by the members of ``within`` whose attackers all
-    lie in the range of ``mask``, until it stops changing."""
+    lie in the range of ``mask``, until it stops changing; return the
+    node of the fixed point."""
     members = unpack(within)
     while True:
-        plus = _node(tables, unpack(mask))[2]
-        defended = pack(a for a in members if tables.attackers[a] & ~plus == 0)
+        node = _node(tables, unpack(mask))
+        defended = pack(a for a in members if tables.attackers[a] & ~node[2] == 0)
         if defended == mask:
-            return mask
+            return node
         mask = defended
 
 
-def _derived(tables: AttackTables, tag: Semantics) -> list[int]:
-    """The masks of every extension under a derived tag (pr, gr, id, sst,
-    eg): pr / sst by comparing the admissible family, gr / id / eg by
-    the defence fixpoint (see the module docstring)."""
-    if tag is Semantics.GROUNDED:
-        return [_fixpoint(tables, 0, tables.full)]
-
-    ranged = [(v[1], v[1] | v[2]) for v in _select(Semantics.ADMISSIBLE, tables, _walk(tables))]
-    if tag in (Semantics.SEMI_STABLE, Semantics.EAGER):
-        top = _range_maximal(ranged)
-    else:
-        top = _maximal([m for m, _ in ranged])
-    if tag in (Semantics.PREFERRED, Semantics.SEMI_STABLE):
-        return top
-    fence = tables.full
-    for m in top:
-        fence &= m
-    return [_fixpoint(tables, fence, fence)]
-
-
 def _extensions(f: Framework, tag: Semantics) -> Iterable[_Node]:
-    """The walk node of every extension of ``f`` under ``tag``. Core tags
-    filter the walk lazily; derived tags pick their masks up front."""
+    """The walk node of every extension of ``f`` under ``tag``: the walk
+    filtered lazily for cf / st / ad / co, the maximal complete nodes for
+    pr / sst, the defence fixpoint for gr / id / eg."""
     tables = attack_tables(f)
     if tag in _CORE:
         return _select(tag, tables, _walk(tables))
-    return (_node(tables, unpack(m)) for m in _derived(tables, tag))
+    if tag is Semantics.GROUNDED:
+        return [_fixpoint(tables, 0, tables.full)]
+
+    by_range = tag in (Semantics.SEMI_STABLE, Semantics.EAGER)
+    complete = list(_select(Semantics.COMPLETE, tables, _walk(tables)))
+    top = _maximal(complete, (lambda v: v[1] | v[2]) if by_range else (lambda v: v[1]))
+    if tag in (Semantics.PREFERRED, Semantics.SEMI_STABLE):
+        return top
+    fence = tables.full
+    for v in top:
+        fence &= v[1]
+    return [_fixpoint(tables, fence, fence)]
 
 
 def extensions(f: Framework, tag: Semantics | str) -> ExtensionFamily:

@@ -147,6 +147,15 @@ class TestExitCodes:
         assert code == EXIT_PARSE
         assert "parse error" in err and str(path) in err
 
+    @pytest.mark.parametrize("suffix, writer", [(".tgf", format_tgf), (".apx", format_apx)])
+    def test_byte_order_mark_is_ignored(self, capsys, tmp_path, suffix, writer):
+        plain, marked = tmp_path / f"plain{suffix}", tmp_path / f"marked{suffix}"
+        plain.write_text(writer(AF5A), encoding="utf-8")
+        marked.write_text(writer(AF5A), encoding="utf-8-sig")
+        _, expected, _ = run(capsys, "solve", "--semantics", "co", "--task", "EE", str(plain))
+        code, out, _ = run(capsys, "solve", "--semantics", "co", "--task", "EE", str(marked))
+        assert (code, out) == (EXIT_OK, expected)
+
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == EXIT_OK
 

@@ -25,6 +25,7 @@ from afmat import (
     Framework,
     GeneratorConfig,
     InternalInvariantError,
+    NormForm,
     PreconditionError,
     Semantics,
     admissible_on_norm_form,
@@ -47,8 +48,8 @@ from afmat import (
     stable_on_norm_form,
     to_norm_form,
 )
-from afmat.core import _TABLES_CACHED, pack, unpack
-from afmat.semantics import _range_maximal
+from afmat.core import _TABLES_CACHED, _verify_norm_form, pack, unpack
+from afmat.semantics import _maximal
 
 ALL_TAGS = list(Semantics)
 
@@ -307,6 +308,17 @@ class TestBeyondOracleBound:
         assert extensions(f, "gr").ordered() == least
 
     @pytest.mark.parametrize("f", BEYOND_ORACLE, ids=lambda f: f"n{f.n}")
+    def test_maximal_complete_equals_maximal_admissible(self, f):
+        # pr / sst compare the complete sets; Dung and Caminada define
+        # them over the admissible sets
+        members = {s: frozenset(s) for s in extensions(f, "ad").sets}
+        reach = {s: frozenset(range_of(f, s)) for s in members}
+        preferred = {s for s, m in members.items() if not any(m < o for o in members.values())}
+        semi_stable = {s for s, r in reach.items() if not any(r < o for o in reach.values())}
+        assert extensions(f, "pr").sets == preferred
+        assert extensions(f, "sst").sets == semi_stable
+
+    @pytest.mark.parametrize("f", BEYOND_ORACLE, ids=lambda f: f"n{f.n}")
     @pytest.mark.parametrize("tag, outer", [("id", "pr"), ("eg", "sst")])
     def test_largest_admissible_inside_intersection(self, f, tag, outer):
         fence = set(f.arguments).intersection(*extensions(f, outer).sets)
@@ -358,11 +370,16 @@ def ranged_admissible(f):
     return [(pack(s), pack(range_of(f, s))) for s in extensions(f, "ad").ordered()]
 
 
+def range_maximal(pairs):
+    """The masks ``_maximal`` keeps when keyed on the range."""
+    return [m for m, _ in _maximal(pairs, key=lambda pair: pair[1])]
+
+
 class TestRangeMaximal:
     @given(frameworks(), st.data())
     def test_matches_literal_definition_in_any_order(self, f, data):
         pairs = data.draw(st.permutations(ranged_admissible(f)))
-        assert _range_maximal(pairs) == literal_range_maximal(pairs)
+        assert range_maximal(pairs) == literal_range_maximal(pairs)
 
     def test_time_does_not_depend_on_order(self):
         # 46k admissible sets. Comparing every range with every other takes
@@ -371,7 +388,7 @@ class TestRangeMaximal:
         f = generate(GeneratorConfig(n=24, p=0.05, seed=2024))
         pairs = ranged_admissible(f)
         start = time.perf_counter()
-        chosen = _range_maximal(pairs)
+        chosen = range_maximal(pairs)
         assert time.perf_counter() - start < 5.0
         assert frozenset(map(unpack, chosen)) == extensions(f, "sst").sets
 
@@ -469,7 +486,12 @@ class TestQueries:
         assert query(AF5B, "EE-attacking", "pr", 3) == [(2, 4)]
 
 
-def test_unique_maximal_guard_is_internal():
-    # the guard class exists and derives from RuntimeError; families on all
-    # corpus frameworks never trigger it (exercised throughout this module)
+@pytest.mark.parametrize("k, q, l, message", [
+    (2, 0, 3, "top-left region is not zero"),  # 1 attacks 2, both members
+    (1, 0, 4, "defeated column without attack"),  # 1 leaves 3 unattacked
+], ids=["top_left", "defeated_column"])
+def test_norm_form_guard_rejects_bad_zones(k, q, l, message):
     assert issubclass(InternalInvariantError, RuntimeError)
+    bad = NormForm(natural_matrix(AF5A), k=k, q=q, l=l)
+    with pytest.raises(InternalInvariantError, match=message):
+        _verify_norm_form(bad)
