@@ -13,7 +13,6 @@ from afmat import (
     is_admissible,
     is_complete,
     is_stable,
-    natural_matrix,
     to_norm_form,
 )
 
@@ -21,7 +20,7 @@ f = Framework(5, {(1, 2), (1, 3), (3, 1), (4, 5), (5, 1), (5, 4)})
 print("framework: 1->2, 1->3, 3->1, 4->5, 5->1, 5->4")
 
 s = (3, 4)
-sb = extract_subblocks(natural_matrix(f), s)
+sb = extract_subblocks(f, s)
 print(f"\nsub-blocks of {s} (outsiders {sb.outsiders}):")
 print("  outgoing", sb.outgoing)
 print("  incoming", sb.incoming)

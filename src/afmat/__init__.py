@@ -23,13 +23,16 @@ from .core import (
     NormForm,
     PreconditionError,
     SubBlocks,
+    admissible_on_norm_form,
     argset,
     build_matrix,
     check_permutation,
+    complete_on_norm_form,
     dual_interchange,
     extract_subblocks,
     natural_matrix,
     relabel,
+    stable_on_norm_form,
     to_norm_form,
 )
 from .formats import NameMap, ParseError, format_apx, format_tgf, parse_apx, parse_tgf
@@ -44,9 +47,7 @@ from .oracle import (
 from .semantics import (
     ExtensionFamily,
     Semantics,
-    admissible_on_norm_form,
     basic_sets,
-    complete_on_norm_form,
     extensions,
     is_admissible,
     is_complete,
@@ -55,7 +56,6 @@ from .semantics import (
     iter_conflict_free,
     query,
     range_of,
-    stable_on_norm_form,
 )
 
 __version__ = "0.1.0"

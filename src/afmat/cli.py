@@ -189,6 +189,7 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
 
 
 def main() -> None:
+    sys.stdout.reconfigure(encoding="utf-8")  # answers are UTF-8 whatever the locale
     raise SystemExit(run_cli())
 
 

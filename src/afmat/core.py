@@ -12,9 +12,10 @@ cell (s, t)), so row and column tests reduce to word scans. Positions
 and argument identifiers are 1-based throughout, matching the domain
 convention.
 
-Two structural tools reproduce the paper's exposition; the extension
-criteria in :mod:`afmat.semantics` are word tests on the attack tables
-and call neither, but read the same blocks a word at a time:
+Two structural tools reproduce the paper's exposition, both read
+through one block reader, ``_block``. The extension criteria in
+:mod:`afmat.semantics` are word tests on the attack tables and call
+neither, but read the same blocks a word at a time:
 
 * ``extract_subblocks`` reads the four index-partition blocks of the
   natural matrix for a candidate set (inner, outgoing, incoming, outer).
@@ -22,7 +23,9 @@ and call neither, but read the same blocks a word at a time:
   candidate's members come first, then the outsiders the candidate does
   not attack, then the outsiders it defeats. For a conflict-free
   candidate the top-left block of the result is all zero and every
-  column of the members x defeated block contains a 1.
+  column of the members x defeated block contains a 1. The verdicts
+  ``stable_on_norm_form``, ``admissible_on_norm_form`` and
+  ``complete_on_norm_form`` read its named zones.
 
 All values are immutable; every operation is a pure function.
 """
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 Attack = tuple[int, int]
 ArgSet = tuple[int, ...]
@@ -191,9 +194,6 @@ class AttackMatrix:
         self._check_position(t)
         return (self.rows[s - 1] >> (t - 1)) & 1
 
-    def is_natural(self) -> bool:
-        return self.labels == tuple(range(1, self.n + 1))
-
     def to_grid(self) -> Grid:
         return tuple(tuple((row >> t) & 1 for t in range(self.n)) for row in self.rows)
 
@@ -283,29 +283,24 @@ class SubBlocks:
     outer: Grid
 
 
-def extract_subblocks(m: AttackMatrix, candidate: Iterable[int]) -> SubBlocks:
-    """Read the four partition blocks for ``candidate`` off a natural matrix."""
-    if not m.is_natural():
-        raise ValueError("sub-blocks are read off the natural-order matrix")
-    members = argset(candidate)
-    for a in members:
-        if not (isinstance(a, int) and 1 <= a <= m.n):
-            raise IndexError(f"argument {a!r} outside 1..{m.n}")
+def _block(m: AttackMatrix, rows: Sequence[int], cols: Sequence[int]) -> Grid:
+    """The cells (r, c) of ``m`` for the 1-based positions r in ``rows``, c in ``cols``."""
+    return tuple(tuple((m.rows[r - 1] >> (c - 1)) & 1 for c in cols) for r in rows)
+
+
+def extract_subblocks(f: Framework, candidate: Iterable[int]) -> SubBlocks:
+    """Read the four partition blocks for ``candidate`` off the natural matrix of ``f``."""
+    members = checked_argset(f, candidate)
     inside = set(members)
-    outsiders = tuple(a for a in range(1, m.n + 1) if a not in inside)
-
-    def block(row_args: ArgSet, col_args: ArgSet) -> Grid:
-        return tuple(
-            tuple((m.rows[i - 1] >> (j - 1)) & 1 for j in col_args) for i in row_args
-        )
-
+    outsiders = tuple(a for a in f.arguments if a not in inside)
+    m = natural_matrix(f)
     return SubBlocks(
         members=members,
         outsiders=outsiders,
-        inner=block(members, members),
-        outgoing=block(members, outsiders),
-        incoming=block(outsiders, members),
-        outer=block(outsiders, outsiders),
+        inner=_block(m, members, members),
+        outgoing=_block(m, members, outsiders),
+        incoming=_block(m, outsiders, members),
+        outer=_block(m, outsiders, outsiders),
     )
 
 
@@ -317,16 +312,19 @@ class NormForm:
     """Zone-partitioned matrix of a conflict-free candidate set.
 
     Positions 1..k carry the members, positions k+1..k+q the outsiders
-    the candidate does not attack (undefeated), and the last l positions
-    the outsiders it defeats. Guaranteed structure: the k x (k+q)
-    top-left region is all zero and every column of the
+    the candidate does not attack (undefeated), and the last l = n-k-q
+    positions the outsiders it defeats. Guaranteed structure: the
+    k x (k+q) top-left region is all zero and every column of the
     members x defeated block contains a 1.
     """
 
     matrix: AttackMatrix
     k: int
     q: int
-    l: int
+
+    @property
+    def l(self) -> int:
+        return self.matrix.n - self.k - self.q
 
     @property
     def members(self) -> tuple[int, ...]:
@@ -343,16 +341,29 @@ class NormForm:
     def _zone_span(self, zone: str) -> range:
         if zone not in _ZONES:
             raise ValueError(f"unknown zone {zone!r}; expected one of {_ZONES}")
-        starts = (0, self.k, self.k + self.q, self.matrix.n)
+        starts = (1, self.k + 1, self.k + self.q + 1, self.matrix.n + 1)
         i = _ZONES.index(zone)
         return range(starts[i], starts[i + 1])
 
     def block(self, rows: str, cols: str) -> Grid:
         """One partition block, addressed by zone names."""
-        rspan, cspan = self._zone_span(rows), self._zone_span(cols)
-        return tuple(
-            tuple((self.matrix.rows[r] >> c) & 1 for c in cspan) for r in rspan
-        )
+        return _block(self.matrix, self._zone_span(rows), self._zone_span(cols))
+
+
+def stable_on_norm_form(nf: NormForm) -> bool:
+    """Stable iff the undefeated zone is empty."""
+    return nf.q == 0
+
+
+def admissible_on_norm_form(nf: NormForm) -> bool:
+    """Admissible iff the undefeated x members block is all zero."""
+    return not any(map(any, nf.block("undefeated", "members")))
+
+
+def complete_on_norm_form(nf: NormForm) -> bool:
+    """Complete iff admissible and every column of the undefeated square block holds a 1."""
+    undefeated = nf.block("undefeated", "undefeated")
+    return admissible_on_norm_form(nf) and all(map(any, zip(*undefeated)))
 
 
 def _group_zone(m: AttackMatrix, wanted: frozenset[int], lo: int, hi: int) -> AttackMatrix:
@@ -391,7 +402,7 @@ def to_norm_form(f: Framework, candidate: Iterable[int]) -> NormForm:
     q = len(undefeated)
     m = _group_zone(m, frozenset(undefeated), k + 1, k + q)
 
-    nf = NormForm(matrix=m, k=k, q=q, l=f.n - k - q)
+    nf = NormForm(matrix=m, k=k, q=q)
     _verify_norm_form(nf)
     return nf
 

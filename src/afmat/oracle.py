@@ -112,7 +112,7 @@ def oracle_family(f: Framework, tag: Semantics | str, bound: int = ORACLE_BOUND)
         sets = [s for s in inside if not any(set(s) < set(u) for u in inside)]
     else:  # pragma: no cover - the enum is closed
         raise ValueError(f"unknown semantics {tag!r}")
-    return ExtensionFamily(tag, frozenset(sets))
+    return ExtensionFamily(frozenset(sets))
 
 
 def oracle_grounded_fixpoint(f: Framework) -> ArgSet:

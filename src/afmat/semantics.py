@@ -46,13 +46,8 @@ block, and ``minus`` the non-zero rows of the incoming block. Stable
 says every outgoing column is non-zero; admissible says every non-zero
 incoming row is matched by a non-zero outgoing column for the same
 outsider; complete says every outsider with a zero outgoing column has
-an attacker whose own outgoing column is zero too.
-
-The same answers can be read off the norm form
-(:func:`afmat.core.to_norm_form`): stable means no undefeated zone at
-all (q = 0), admissible means the undefeated x members block is zero,
-and complete additionally needs every column of the undefeated square
-block to be non-zero.
+an attacker whose own outgoing column is zero too. The norm-form
+reading of the same verdicts lives in :mod:`afmat.core`.
 
 Preferred and semi-stable compare the complete nodes of the walk with
 one keyed maximality, ``_maximal``: preferred keeps the complete sets
@@ -95,7 +90,6 @@ from .core import (
     ArgSet,
     AttackTables,
     Framework,
-    NormForm,
     PreconditionError,
     _require_conflict_free,
     argset,
@@ -196,7 +190,6 @@ def _order(s: ArgSet) -> tuple[int, ArgSet]:
 class ExtensionFamily:
     """All extensions of one framework under one semantics tag."""
 
-    tag: Semantics
     sets: frozenset[ArgSet]
 
     def __len__(self) -> int:
@@ -272,27 +265,6 @@ def is_complete(f: Framework, candidate: Iterable[int]) -> bool:
     return _decide(f, candidate, Semantics.COMPLETE)
 
 
-def stable_on_norm_form(nf: NormForm) -> bool:
-    """Stable iff the undefeated zone is empty."""
-    return nf.q == 0
-
-
-def admissible_on_norm_form(nf: NormForm) -> bool:
-    """Admissible iff the undefeated x members block is all zero."""
-    member_zone = (1 << nf.k) - 1
-    rows = nf.matrix.rows
-    return all(rows[r] & member_zone == 0 for r in range(nf.k, nf.k + nf.q))
-
-
-def complete_on_norm_form(nf: NormForm) -> bool:
-    """Complete iff admissible and no column of the undefeated square block is zero."""
-    if not admissible_on_norm_form(nf):
-        return False
-    rows = nf.matrix.rows
-    span = range(nf.k, nf.k + nf.q)
-    return all(any((rows[r] >> t) & 1 for r in span) for t in span)
-
-
 def range_of(f: Framework, candidate: Iterable[int]) -> ArgSet:
     """The candidate set plus every argument it attacks."""
     _, mask, plus, _, _ = _node(attack_tables(f), checked_argset(f, candidate))
@@ -348,7 +320,7 @@ def _extensions(f: Framework, tag: Semantics) -> Iterable[_Node]:
 def extensions(f: Framework, tag: Semantics | str) -> ExtensionFamily:
     """All extensions under any supported tag."""
     tag = Semantics(tag)
-    return ExtensionFamily(tag, frozenset(v[0] for v in _extensions(f, tag)))
+    return ExtensionFamily(frozenset(v[0] for v in _extensions(f, tag)))
 
 
 def _contains(t: int) -> Callable[[_Node], bool]:

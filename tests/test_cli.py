@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,6 +13,7 @@ from helpers import AF5A, AF5D
 from afmat import format_apx, format_tgf
 from afmat.cli import EXIT_INTERNAL, EXIT_OK, EXIT_PARSE, EXIT_USAGE, run_cli
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 TGF_A = format_tgf(AF5A)
 TGF_D = format_tgf(AF5D)
 
@@ -215,10 +219,10 @@ class TestVerify:
 
     def test_mismatch_exits_internal(self, capsys, monkeypatch, tgf_a):
         import afmat.cli as cli
-        from afmat import ExtensionFamily, Semantics
+        from afmat import ExtensionFamily
 
         def skewed(f, tag, bound):
-            return ExtensionFamily(Semantics(tag), frozenset({(1,)}))
+            return ExtensionFamily(frozenset({(1,)}))
 
         monkeypatch.setattr(cli, "oracle_family", skewed)
         code, out, _ = run(capsys, "verify", tgf_a)
@@ -234,3 +238,16 @@ def test_main_raises_system_exit(monkeypatch, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main()
     assert exc.value.code == EXIT_OK
+
+
+def test_answers_are_utf8_whatever_the_locale(tmp_path):
+    path = tmp_path / "u.tgf"
+    path.write_text("café\n#\n", encoding="utf-8")
+    pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": pythonpath, "PYTHONIOENCODING": "ascii"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "afmat.cli", "solve", str(path), "--semantics", "cf", "--task", "EE"],
+        capture_output=True, env=env, check=False,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stdout.splitlines() == [b"[]", "[café]".encode("utf-8")]

@@ -170,7 +170,7 @@ class TestDualInterchange:
 
 class TestSubBlocks:
     def test_blocks_of_pair_candidate(self):
-        sb = extract_subblocks(natural_matrix(AF5D), (3, 4))
+        sb = extract_subblocks(AF5D, (3, 4))
         assert sb.members == (3, 4)
         assert sb.outsiders == (1, 2, 5)
         assert sb.inner == ((0, 0), (0, 0))
@@ -179,7 +179,7 @@ class TestSubBlocks:
         assert sb.outer == ((0, 1, 0), (0, 0, 0), (1, 0, 0))
 
     def test_blocks_of_triple_candidate(self):
-        sb = extract_subblocks(natural_matrix(AF5A), (1, 3, 5))
+        sb = extract_subblocks(AF5A, (1, 3, 5))
         assert sb.outsiders == (2, 4)
         assert sb.inner == ((0, 0, 0), (0, 0, 0), (0, 0, 0))
         assert sb.outgoing == ((1, 0), (0, 0), (0, 1))
@@ -187,42 +187,35 @@ class TestSubBlocks:
         assert sb.outer == ((0, 0), (0, 0))
 
     def test_full_candidate_has_empty_complement_blocks(self):
-        m = natural_matrix(CYCLE3)
-        sb = extract_subblocks(m, (1, 2, 3))
-        assert sb.inner == m.to_grid()
+        sb = extract_subblocks(CYCLE3, (1, 2, 3))
+        assert sb.inner == natural_matrix(CYCLE3).to_grid()
         assert sb.outgoing == ((), (), ())
         assert sb.incoming == ()
         assert sb.outer == ()
 
     def test_empty_candidate(self):
-        m = natural_matrix(CYCLE3)
-        sb = extract_subblocks(m, ())
+        sb = extract_subblocks(CYCLE3, ())
         assert sb.inner == ()
-        assert sb.outer == m.to_grid()
-
-    def test_requires_natural_matrix(self):
-        with pytest.raises(ValueError):
-            extract_subblocks(build_matrix(CYCLE3, (2, 1, 3)), (1,))
+        assert sb.outer == natural_matrix(CYCLE3).to_grid()
 
     def test_member_out_of_range(self):
         with pytest.raises(IndexError):
-            extract_subblocks(natural_matrix(CYCLE3), (4,))
+            extract_subblocks(CYCLE3, (4,))
 
     def test_assembly_matches_grouped_matrix_exhaustive(self):
         from itertools import combinations
 
         for f in make_corpus(ns=range(0, 5), ps=(0.1, 0.5), count=2):
-            m = natural_matrix(f)
             for r in range(f.n + 1):
                 for s in combinations(f.arguments, r):
-                    sb = extract_subblocks(m, s)
+                    sb = extract_subblocks(f, s)
                     grouped = build_matrix(f, sb.members + sb.outsiders)
                     assert assemble(sb) == grouped.to_grid()
 
     @given(frameworks(), st.data())
     def test_assembly_matches_grouped_matrix(self, f, data):
         s = data.draw(st.frozensets(st.sampled_from(list(f.arguments)) if f.n else st.nothing()))
-        sb = extract_subblocks(natural_matrix(f), s)
+        sb = extract_subblocks(f, s)
         grouped = build_matrix(f, sb.members + sb.outsiders)
         assert assemble(sb) == grouped.to_grid()
 
@@ -294,6 +287,20 @@ class TestNormForm:
                 assert set(nf.undefeated) == set(f.arguments) - set(s) - struck
                 # interchange-built equals built straight from the final labels
                 assert build_matrix(f, nf.matrix.labels) == nf.matrix
+
+    @given(frameworks(max_n=7))
+    def test_every_zone_block_is_a_slice_of_the_grid(self, f):
+        from afmat import iter_conflict_free
+
+        for s in iter_conflict_free(f):
+            nf = to_norm_form(f, s)
+            grid = nf.matrix.to_grid()
+            k, q = nf.k, nf.q
+            assert k + q + nf.l == f.n
+            bounds = {"members": (0, k), "undefeated": (k, k + q), "defeated": (k + q, f.n)}
+            for rows, (r0, r1) in bounds.items():
+                for cols, (c0, c1) in bounds.items():
+                    assert nf.block(rows, cols) == tuple(row[c0:c1] for row in grid[r0:r1])
 
 
 def test_relabel_roundtrip():

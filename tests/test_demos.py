@@ -20,7 +20,7 @@ def test_demo_runs(path, capsys):
 
 def test_readme_examples_run():
     # the blocks build on each other (the query block reuses the quick start's f)
-    blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.S | re.M)
+    blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(encoding="utf-8"), re.S | re.M)
     assert blocks
     namespace: dict = {}
     for block in blocks:

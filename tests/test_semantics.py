@@ -137,9 +137,8 @@ class TestNormFormCriteria:
         from afmat import oracle_defends
 
         for f in small_corpus:
-            m = natural_matrix(f)
             for s in iter_conflict_free(f):
-                sb = extract_subblocks(m, s)
+                sb = extract_subblocks(f, s)
                 nf = to_norm_form(f, s)
                 st = is_stable(f, s)
                 ad = is_admissible(f, s)
@@ -486,12 +485,12 @@ class TestQueries:
         assert query(AF5B, "EE-attacking", "pr", 3) == [(2, 4)]
 
 
-@pytest.mark.parametrize("k, q, l, message", [
-    (2, 0, 3, "top-left region is not zero"),  # 1 attacks 2, both members
-    (1, 0, 4, "defeated column without attack"),  # 1 leaves 3 unattacked
+@pytest.mark.parametrize("k, q, message", [
+    (2, 0, "top-left region is not zero"),  # 1 attacks 2, both members
+    (1, 0, "defeated column without attack"),  # 1 leaves 3 unattacked
 ], ids=["top_left", "defeated_column"])
-def test_norm_form_guard_rejects_bad_zones(k, q, l, message):
+def test_norm_form_guard_rejects_bad_zones(k, q, message):
     assert issubclass(InternalInvariantError, RuntimeError)
-    bad = NormForm(natural_matrix(AF5A), k=k, q=q, l=l)
+    bad = NormForm(natural_matrix(AF5A), k=k, q=q)
     with pytest.raises(InternalInvariantError, match=message):
         _verify_norm_form(bad)
