@@ -18,12 +18,26 @@ that attacks S) and ``cand``: the arguments above max(S) compatible
 with every member. The child for i in ``cand`` gets ``cand & C(i)``
 restricted to the arguments above i, and ORs the attack rows of i into
 ``plus`` and ``minus``. Every child is conflict-free by construction,
-every conflict-free set is reached exactly once, and the stack never
-holds more than O(n^2) nodes. Children are pushed highest first, so the
-walk pops sets in lexicographic preorder; :func:`iter_conflict_free`
-restores the public order (by cardinality, then lexicographic) by
-bucketing the walk by cardinality, which holds the whole family in
-memory before the first set is yielded.
+and the stack never holds more than O(n^2) nodes. Children are pushed
+highest first, so the walk pops sets in lexicographic preorder;
+:func:`iter_conflict_free` restores the public order (by cardinality,
+then lexicographic) by bucketing the walk by cardinality, which holds
+the whole family in memory before the first set is yielded.
+
+The unpruned walk (cf, co and everything built on co) reaches every
+conflict-free set exactly once. For st and ad the walk looks ahead: the
+sets below a node are S plus some of ``cand``, so everything they can
+attack lies in ``reach = plus | OR(targets[i] for i in cand)``, one pass
+over ``cand``. The node is dropped with its whole subtree when
+
+* st, ad -- ``minus & ~reach != 0``: some attacker of S is attacked by
+  no set below, so none of them is admissible;
+* st     -- ``full & ~(mask | cand) & ~reach != 0``: some argument that
+  can never join (self-attackers included) is attacked by no set below,
+  so none of them is stable.
+
+Every st / ad extension survives both rules, so the look-ahead changes
+only how many nodes are visited, not which extensions are found.
 
 With ``full`` the word of all arguments, the core criteria are tests on
 the words of a node:
@@ -66,9 +80,9 @@ Each is unique by construction.
 
 Every extension of every tag comes from one place, ``_extensions``: it
 yields the walk node of each extension. For a core tag (cf, st, ad,
-co) that is the walk itself, filtered lazily by the word test; for pr /
-sst it is the maximal complete nodes, and for gr / id / eg the node the
-fixpoint ends on. :func:`extensions` collects
+co) that is the walk itself, looking ahead for st / ad, filtered lazily
+by the word test; for pr / sst it is the maximal complete nodes, and for
+gr / id / eg the node the fixpoint ends on. :func:`extensions` collects
 the sets, and :func:`query` answers each catalogue question from a table
 entry of two parts: a word test on a node against the target mask t
 (contains the target, ``t & ~mask == 0``, or attacks it,
@@ -134,16 +148,33 @@ def basic_sets(f: Framework) -> dict[int, frozenset[int]]:
     }
 
 
-def _walk(tables: AttackTables) -> Iterator[_Node]:
-    """Every conflict-free set as a node, in lexicographic preorder."""
-    targets, attackers = tables.targets, tables.attackers
+def _walk(tables: AttackTables, tag: Semantics | None = None) -> Iterator[_Node]:
+    """Conflict-free sets as nodes, in lexicographic preorder.
+
+    With no tag, or a tag other than st / ad, every conflict-free set is
+    yielded exactly once. With st or ad, a node is dropped with its whole
+    subtree when ``reach`` (``plus`` OR the rows of every argument in
+    ``cand``: everything a set below can attack) misses an attacker of S,
+    or, for st, an argument that can never join.
+    """
+    targets, attackers, full = tables.targets, tables.attackers, tables.full
+    lookahead = tag in (Semantics.STABLE, Semantics.ADMISSIBLE)
+    stable = tag is Semantics.STABLE
     above = [c & ~((1 << i) - 1) for i, c in enumerate(_compat_masks(tables))]  # C(i) above i
-    stack = [((), 0, 0, 0, tables.full & ~tables.loops)]
+    stack = [((), 0, 0, 0, full & ~tables.loops)]
     push = stack.append
     while stack:
         node = stack.pop()
-        yield node
         s, mask, plus, minus, cand = node
+        if lookahead:
+            reach, rest = plus, cand
+            while rest:
+                low = rest & -rest
+                reach |= targets[low.bit_length()]
+                rest ^= low
+            if minus & ~reach or (stable and full & ~(mask | cand | reach)):
+                continue
+        yield node
         rest = cand
         while rest:
             i = rest.bit_length()  # highest first, so pops run in lexicographic preorder
@@ -298,11 +329,12 @@ def _fixpoint(tables: AttackTables, mask: int, within: int) -> _Node:
 
 def _extensions(f: Framework, tag: Semantics) -> Iterable[_Node]:
     """The walk node of every extension of ``f`` under ``tag``: the walk
-    filtered lazily for cf / st / ad / co, the maximal complete nodes for
-    pr / sst, the defence fixpoint for gr / id / eg."""
+    (looking ahead for st / ad) filtered lazily for cf / st / ad / co, the
+    maximal complete nodes for pr / sst, the defence fixpoint for gr / id /
+    eg."""
     tables = attack_tables(f)
     if tag in _CORE:
-        return _select(tag, tables, _walk(tables))
+        return _select(tag, tables, _walk(tables, tag))
     if tag is Semantics.GROUNDED:
         return [_fixpoint(tables, 0, tables.full)]
 
