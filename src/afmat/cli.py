@@ -24,7 +24,7 @@ from . import semantics
 from .core import InternalInvariantError
 from .formats import ParseError, detect_format, format_apx, format_tgf, parse, render_argset
 from .generator import GeneratorConfig, generate
-from .oracle import ORACLE_BOUND, oracle_family, oracle_grounded_fixpoint
+from .oracle import oracle_family, oracle_grounded_fixpoint
 from .semantics import Semantics
 
 EXIT_OK = 0
@@ -72,8 +72,6 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--n", type=int, help="generate a single framework of this size instead")
     verify.add_argument("--p", type=float, default=0.3)
     verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--oracle-bound", type=int, default=ORACLE_BOUND,
-                        help=f"refuse frameworks larger than this (default {ORACLE_BOUND})")
     verify.set_defaults(func=_cmd_verify)
     return parser
 
@@ -93,11 +91,9 @@ def _read_framework(args) -> tuple:
 
 def _cmd_solve(args) -> int:
     f, names = _read_framework(args)
-    target = None
-    if args.task in _LOCAL_TASKS:
-        if args.arg is None:
-            raise ValueError(f"task {args.task} needs --arg")
-        target = names.id_of(args.arg)
+    if args.task in _LOCAL_TASKS and args.arg is None:
+        raise ValueError(f"task {args.task} needs --arg")
+    target = None if args.arg is None else names.id_of(args.arg)
     answer = semantics.query(f, args.task, args.semantics, target)
     if args.task == "EE":
         for ext in answer:
@@ -116,30 +112,27 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _verify_one(f, label: str, bound: int) -> bool:
+def _verify_one(f, label: str) -> bool:
+    # Every reference first: the oracle refuses an oversized framework
+    # before the matrix path does any work.
+    references = [(tag.value, tag, oracle_family(f, tag).sets) for tag in Semantics]
+    references.append(
+        ("gr fixpoint", Semantics.GROUNDED, frozenset({oracle_grounded_fixpoint(f)}))
+    )
     ok = True
-    for tag in Semantics:
+    for name, tag, reference in references:
         main = semantics.extensions(f, tag).sets
-        reference = oracle_family(f, tag, bound=bound).sets
         if main == reference:
-            print(f"{label}: {tag.value:3s} OK ({len(main)} sets)")
+            print(f"{label}: {name:3s} OK ({len(main)} sets)")
         else:
             ok = False
             extra = sorted(main - reference)
             missing = sorted(reference - main)
-            print(f"{label}: {tag.value:3s} MISMATCH extra={extra} missing={missing}")
-    fixpoint = oracle_grounded_fixpoint(f)
-    grounded = semantics.extensions(f, Semantics.GROUNDED).ordered()[0]
-    if fixpoint == grounded:
-        print(f"{label}: gr fixpoint OK")
-    else:
-        ok = False
-        print(f"{label}: gr fixpoint MISMATCH {grounded} vs {fixpoint}")
+            print(f"{label}: {name:3s} MISMATCH extra={extra} missing={missing}")
     return ok
 
 
 def _cmd_verify(args) -> int:
-    bound = args.oracle_bound
     jobs = []
     if args.path is not None:
         f, _ = _read_framework(args)
@@ -154,13 +147,7 @@ def _cmd_verify(args) -> int:
                     cfg = GeneratorConfig(n=n, p=p, seed=seed)
                     jobs.append((generate(cfg), f"gen(n={n},p={p},seed={seed})"))
 
-    for f, _ in jobs:
-        if f.n > bound:
-            raise ValueError(
-                f"framework has {f.n} arguments, above the oracle bound {bound}"
-            )
-
-    all_ok = all([_verify_one(f, label, bound) for f, label in jobs])
+    all_ok = all([_verify_one(f, label) for f, label in jobs])
     print(f"verification {'passed' if all_ok else 'FAILED'} on {len(jobs)} framework(s)")
     return EXIT_OK if all_ok else EXIT_INTERNAL
 

@@ -8,7 +8,7 @@ an independent second route against which the matrix-based path in
 :mod:`afmat.semantics` can be checked differentially.
 
 Because the scan is exponential, :func:`oracle_family` refuses
-frameworks larger than a configurable bound.
+frameworks larger than the fixed, not configurable ``ORACLE_BOUND``.
 """
 
 from __future__ import annotations
@@ -68,12 +68,12 @@ def _range(f: Framework, s: ArgSet) -> frozenset[int]:
     return frozenset(s) | {b for (a, b) in f.attacks if a in s}
 
 
-def oracle_family(f: Framework, tag: Semantics | str, bound: int = ORACLE_BOUND) -> ExtensionFamily:
+def oracle_family(f: Framework, tag: Semantics | str) -> ExtensionFamily:
     """All extensions of ``f`` under ``tag``, by exhaustive subset scan."""
     tag = Semantics(tag)
-    if f.n > bound:
+    if f.n > ORACLE_BOUND:
         raise OracleBoundError(
-            f"framework has {f.n} arguments; the exhaustive scan is limited to {bound}"
+            f"framework has {f.n} arguments, above the oracle bound {ORACLE_BOUND}"
         )
 
     subsets = _subsets(f)

@@ -171,6 +171,13 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert "bound" in err
 
+    @pytest.mark.parametrize("task", ["SE", "EE"])
+    def test_unknown_argument_name_on_global_task(self, capsys, tgf_a, task):
+        code, out, err = run(capsys, "solve", "--semantics", "st", "--task", task,
+                             "--arg", "zzz", tgf_a)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "unknown argument name" in err
+
 
 class TestGen:
     def test_golden(self, capsys):
@@ -217,11 +224,22 @@ class TestVerify:
         assert code == EXIT_OK
         assert "verification passed on 36 framework(s)" in out
 
+    def test_oversized_framework_is_refused_before_solving(self, capsys, monkeypatch):
+        import afmat.cli as cli
+
+        def unreachable(f, tag):
+            raise AssertionError("the matrix path ran before the oracle refused")
+
+        monkeypatch.setattr(cli.semantics, "extensions", unreachable)
+        code, _, err = run(capsys, "verify", "--n", "13")
+        assert code == EXIT_USAGE
+        assert "bound" in err
+
     def test_mismatch_exits_internal(self, capsys, monkeypatch, tgf_a):
         import afmat.cli as cli
         from afmat import ExtensionFamily
 
-        def skewed(f, tag, bound):
+        def skewed(f, tag):
             return ExtensionFamily(frozenset({(1,)}))
 
         monkeypatch.setattr(cli, "oracle_family", skewed)

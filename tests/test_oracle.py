@@ -6,6 +6,7 @@ import pytest
 from helpers import AF5A, AF5B, AF5D, naive_conflict_free
 
 from afmat import (
+    ORACLE_BOUND,
     Framework,
     OracleBoundError,
     Semantics,
@@ -50,12 +51,10 @@ class TestFamily:
             assert oracle_family(f, "cf").sets == naive_conflict_free(f)
 
     def test_bound_is_enforced(self):
-        big = Framework(13)
-        with pytest.raises(OracleBoundError):
-            oracle_family(big, "cf")
-        with pytest.raises(OracleBoundError):
-            oracle_family(Framework(4), "cf", bound=3)
-        assert len(oracle_family(Framework(4), "cf", bound=4)) == 16
+        assert ORACLE_BOUND == 12
+        assert len(oracle_family(Framework(ORACLE_BOUND), "cf")) == 4096
+        with pytest.raises(OracleBoundError, match="above the oracle bound 12"):
+            oracle_family(Framework(ORACLE_BOUND + 1), "cf")
 
     def test_unknown_tag(self):
         with pytest.raises(ValueError):
