@@ -67,11 +67,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "verify",
         help="differentially check the matrix path against the brute-force reference",
     )
-    verify.add_argument("path", nargs="?", help="framework file; omit to use generated input")
+    verify.add_argument("path", nargs="?", help="framework file; omit for the seeded default sweep")
     verify.add_argument("--format", choices=("tgf", "apx"))
-    verify.add_argument("--n", type=int, help="generate a single framework of this size instead")
-    verify.add_argument("--p", type=float, default=0.3)
-    verify.add_argument("--seed", type=int, default=0)
     verify.set_defaults(func=_cmd_verify)
     return parser
 
@@ -137,9 +134,6 @@ def _cmd_verify(args) -> int:
     if args.path is not None:
         f, _ = _read_framework(args)
         jobs.append((f, args.path))
-    elif args.n is not None:
-        cfg = GeneratorConfig(n=args.n, p=args.p, seed=args.seed)
-        jobs.append((generate(cfg), f"gen(n={cfg.n},p={cfg.p},seed={cfg.seed})"))
     else:
         for n in _DEFAULT_SWEEP_N:
             for p in _DEFAULT_SWEEP_P:

@@ -64,10 +64,6 @@ class NameMap:
     def identity(cls, n: int) -> "NameMap":
         return cls(tuple(str(i) for i in range(1, n + 1)))
 
-    @property
-    def n(self) -> int:
-        return len(self.names)
-
     def name_of(self, i: int) -> str:
         if not 1 <= i <= len(self.names):
             raise IndexError(f"argument {i} outside 1..{len(self.names)}")
@@ -110,10 +106,10 @@ def parse_tgf(text: str) -> tuple[Framework, NameMap]:
             continue
         if len(tokens) < 2:
             raise ParseError(f"line {ln}: attack line needs a source and a target")
-        for name in tokens[:2]:
-            if name not in index:
-                raise ParseError(f"line {ln}: attack references undeclared argument {name!r}")
-        attacks.add((index[tokens[0]], index[tokens[1]]))
+        try:
+            attacks.add((index[tokens[0]], index[tokens[1]]))
+        except KeyError as exc:
+            raise ParseError(f"line {ln}: attack references undeclared argument {exc.args[0]!r}") from None
     return Framework(len(names), attacks), NameMap(tuple(names))
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from helpers import AF5A, AF5D
 
-from afmat import format_apx, format_tgf
+from afmat import Framework, InternalInvariantError, format_apx, format_tgf
 from afmat.cli import EXIT_INTERNAL, EXIT_OK, EXIT_PARSE, EXIT_USAGE, run_cli
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -166,10 +166,27 @@ class TestExitCodes:
     def test_no_command(self, capsys):
         assert run(capsys)[0] == EXIT_USAGE
 
-    def test_oracle_bound_refusal(self, capsys):
-        code, _, err = run(capsys, "verify", "--n", "14")
+    def test_oracle_bound_refusal(self, capsys, tmp_path):
+        path = tmp_path / "n14.tgf"
+        path.write_text(format_tgf(Framework(14)), encoding="utf-8")
+        code, _, err = run(capsys, "verify", str(path))
         assert code == EXIT_USAGE
         assert "bound" in err
+
+    @pytest.mark.parametrize("error, prefix", [
+        (InternalInvariantError("x"), "internal invariant failure: x"),
+        (RuntimeError("y"), "internal error: y"),
+    ])
+    def test_unexpected_failure_exits_internal(self, capsys, monkeypatch, tgf_a, error, prefix):
+        import afmat.cli as cli
+
+        def broken(*_):
+            raise error
+
+        monkeypatch.setattr(cli.semantics, "query", broken)
+        code, _, err = run(capsys, "solve", "--semantics", "st", "--task", "EE", tgf_a)
+        assert code == EXIT_INTERNAL
+        assert err.startswith(prefix)
 
     @pytest.mark.parametrize("task", ["SE", "EE"])
     def test_unknown_argument_name_on_global_task(self, capsys, tgf_a, task):
@@ -214,8 +231,12 @@ class TestVerify:
         assert "verification passed" in out
         assert "MISMATCH" not in out
 
-    def test_generated(self, capsys):
-        code, out, _ = run(capsys, "verify", "--n", "5", "--p", "0.4", "--seed", "3")
+    def test_generated(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "gen", "--n", "5", "--p", "0.4", "--seed", "3")
+        assert code == EXIT_OK
+        path = tmp_path / "g.tgf"
+        path.write_text(out, encoding="utf-8")
+        code, out, _ = run(capsys, "verify", str(path))
         assert code == EXIT_OK
         assert "fixpoint OK" in out
 
@@ -224,16 +245,25 @@ class TestVerify:
         assert code == EXIT_OK
         assert "verification passed on 36 framework(s)" in out
 
-    def test_oversized_framework_is_refused_before_solving(self, capsys, monkeypatch):
+    def test_oversized_framework_is_refused_before_solving(self, capsys, monkeypatch, tmp_path):
         import afmat.cli as cli
+
+        path = tmp_path / "n13.tgf"
+        path.write_text(format_tgf(Framework(13)), encoding="utf-8")
 
         def unreachable(f, tag):
             raise AssertionError("the matrix path ran before the oracle refused")
 
         monkeypatch.setattr(cli.semantics, "extensions", unreachable)
-        code, _, err = run(capsys, "verify", "--n", "13")
+        code, _, err = run(capsys, "verify", str(path))
         assert code == EXIT_USAGE
         assert "bound" in err
+
+    @pytest.mark.parametrize("option", [["--n", "5"], ["--p", "0.9"], ["--seed", "7"]])
+    def test_generator_options_are_usage_errors(self, capsys, option):
+        code, out, err = run(capsys, "verify", *option)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "unrecognized arguments" in err
 
     def test_mismatch_exits_internal(self, capsys, monkeypatch, tgf_a):
         import afmat.cli as cli

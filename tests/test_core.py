@@ -49,6 +49,11 @@ class TestFramework:
         with pytest.raises(ValueError):
             Framework(2, {(1, 3)})
 
+    @pytest.mark.parametrize("pair", [(1, "2"), (1.5, 2)])
+    def test_non_integer_endpoint(self, pair):
+        with pytest.raises(ValueError, match="pair of integers"):
+            Framework(2, {pair})
+
     def test_attacks_canonicalised(self):
         f = Framework(3, [(1, 2), (1, 2), (2, 3)])
         assert f.attacks == frozenset({(1, 2), (2, 3)})

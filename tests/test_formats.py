@@ -102,8 +102,11 @@ class TestParseTgf:
             parse_tgf("a\nb\n")
 
     def test_undeclared_attack_endpoint(self):
-        with pytest.raises(ParseError, match="undeclared"):
+        with pytest.raises(ParseError, match="line 3: attack references undeclared argument 'b'"):
             parse_tgf("a\n#\na b\n")
+        # the source is named when both endpoints are undeclared
+        with pytest.raises(ParseError, match="line 4: attack references undeclared argument 'x'"):
+            parse_tgf("a\n#\na a\nx y\n")
 
     def test_empty_argument_name(self):
         with pytest.raises(ParseError, match="empty argument name"):
