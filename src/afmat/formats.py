@@ -144,10 +144,10 @@ def parse_apx(text: str) -> tuple[Framework, NameMap]:
 
     attacks = set()
     for src, dst in attack_facts:
-        for name in (src, dst):
-            if name not in index:
-                raise ParseError(f"attack references undeclared argument {name!r}")
-        attacks.add((index[src], index[dst]))
+        try:
+            attacks.add((index[src], index[dst]))
+        except KeyError as exc:
+            raise ParseError(f"attack references undeclared argument {exc.args[0]!r}") from None
     return Framework(len(names), attacks), NameMap(tuple(names))
 
 

@@ -19,10 +19,12 @@ with every member. The child for i in ``cand`` gets ``cand & C(i)``
 restricted to the arguments above i, and ORs the attack rows of i into
 ``plus`` and ``minus``. Every child is conflict-free by construction,
 and the stack never holds more than O(n^2) nodes. Children are pushed
-highest first, so the walk pops sets in lexicographic preorder;
-:func:`iter_conflict_free` restores the public order (by cardinality,
-then lexicographic) by bucketing the walk by cardinality, which holds
-the whole family in memory before the first set is yielded.
+highest first, so the walk pops sets in lexicographic preorder, and the
+sets of one size among them in lexicographic order. Every family leaves
+``_extensions`` in that order (``_select`` filters the walk lazily,
+``_maximal`` keeps its input order, a fixpoint is one node), so a stable
+sort by size alone gives the public order (by cardinality, then
+lexicographic).
 
 The unpruned walk (cf, co and everything built on co) reaches every
 conflict-free set exactly once. For st and ad the walk looks ahead: the
@@ -188,11 +190,7 @@ def iter_conflict_free(f: Framework) -> Iterator[ArgSet]:
 
     The whole family is held in memory before the first set is yielded.
     """
-    buckets: list[list[ArgSet]] = [[] for _ in range(f.n + 1)]
-    for node in _walk(attack_tables(f)):
-        buckets[len(node[0])].append(node[0])
-    for bucket in buckets:
-        yield from bucket
+    yield from sorted((node[0] for node in _walk(attack_tables(f))), key=len)
 
 
 class Semantics(str, Enum):
@@ -213,10 +211,6 @@ class Semantics(str, Enum):
 _CORE = (Semantics.CONFLICT_FREE, Semantics.STABLE, Semantics.ADMISSIBLE, Semantics.COMPLETE)
 
 
-def _order(s: ArgSet) -> tuple[int, ArgSet]:
-    return len(s), s
-
-
 @dataclass(frozen=True)
 class ExtensionFamily:
     """All extensions of one framework under one semantics tag."""
@@ -234,7 +228,7 @@ class ExtensionFamily:
 
     def ordered(self) -> list[ArgSet]:
         """Sets sorted by cardinality, then lexicographically."""
-        return sorted(self.sets, key=_order)
+        return sorted(sorted(self.sets), key=len)
 
 
 def _node(tables: AttackTables, members: ArgSet) -> _Node:
@@ -304,8 +298,8 @@ def range_of(f: Framework, candidate: Iterable[int]) -> ArgSet:
 
 def _maximal(nodes: list[_Node], key: Callable[[_Node], int]) -> list[_Node]:
     """The nodes whose key word is not a proper subset of another node's
-    key. Only the distinct keys are compared, so the time does not depend
-    on the order of the nodes."""
+    key, in the order they came in. Only the distinct keys are compared,
+    so the time does not depend on the order of the nodes."""
     top: list[int] = []
     for k in sorted({key(v) for v in nodes}, key=int.bit_count, reverse=True):
         if not any(k & ~kept == 0 for kept in top):
@@ -373,11 +367,11 @@ def _every(nodes: Iterable[_Node], hit: Callable[[_Node], bool]) -> bool:
 
 
 def _first(nodes: Iterable[_Node], hit: Callable[[_Node], bool]) -> ArgSet | None:
-    return min((v[0] for v in nodes if hit(v)), key=_order, default=None)
+    return min((v[0] for v in nodes if hit(v)), key=len, default=None)
 
 
 def _listed(nodes: Iterable[_Node], hit: Callable[[_Node], bool]) -> list[ArgSet]:
-    return sorted((v[0] for v in nodes if hit(v)), key=_order)
+    return sorted((v[0] for v in nodes if hit(v)), key=len)
 
 
 # question -> (summary over the extensions, test of one extension against the target mask)
@@ -409,7 +403,8 @@ def query(
     all extensions), ``AC`` / ``AS`` (attacked by some / all extensions),
     ``SE-containing`` / ``EE-containing`` and ``SE-attacking`` /
     ``EE-attacking`` (witness or list thereof). The universally
-    quantified answers are vacuously true for an empty family.
+    quantified answers are vacuously true for an empty family. A target
+    given with a global question is ignored.
     """
     tag = Semantics(tag)
     if question in _GLOBAL:

@@ -138,8 +138,11 @@ class TestParseApx:
         assert nm.names == ("x",)
 
     def test_undeclared_attack_endpoint(self):
-        with pytest.raises(ParseError, match="undeclared"):
-            parse_apx("att(a,b).")
+        with pytest.raises(ParseError, match="attack references undeclared argument 'b'"):
+            parse_apx("arg(a). att(a,b).")
+        # the source is named when both endpoints are undeclared
+        with pytest.raises(ParseError, match="attack references undeclared argument 'x'"):
+            parse_apx("att(x,y).")
 
     def test_attack_before_declaration_is_fine(self):
         f, _ = parse_apx("att(a,b). arg(a). arg(b).")

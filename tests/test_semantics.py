@@ -379,6 +379,16 @@ class TestLookahead:
         assert sum(1 for _ in islice(_walk(tables, tag), most + 1)) <= most
 
 
+@pytest.mark.parametrize("tag", ALL_TAGS, ids=lambda t: t.value)
+@pytest.mark.parametrize("f", BEYOND_ORACLE + STRESSORS, ids=lambda f: f"n{f.n}")
+def test_answer_order_beyond_oracle_bound(f, tag):
+    # the answers come out of the walk sorted by size alone; the full
+    # (cardinality, lexicographic) key must agree with them
+    expected = sorted(extensions(f, tag).sets, key=lambda s: (len(s), s))
+    assert query(f, "EE", tag) == expected
+    assert query(f, "SE", tag) == (expected[0] if expected else None)
+
+
 def test_attack_table_cache_lets_dropped_frameworks_go():
     f = Framework(9, {(9, 1), (1, 9), (4, 4), (2, 7)})
     extensions(f, "co")
