@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 usage error, 2 parse error, 3 internal
 invariant failure (including a main-vs-reference mismatch in
-``verify``).
+``verify``). A reader that closes stdout early (``afmat solve ... |
+head``) has all it wants: the run stops quietly with exit 0.
 
 ``solve`` output is line oriented and deterministic:
 
@@ -16,6 +17,8 @@ invariant failure (including a main-vs-reference mismatch in
 from __future__ import annotations
 
 import argparse
+import functools
+import os
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -41,6 +44,7 @@ _DEFAULT_SWEEP_P = (0.1, 0.3, 0.5)
 _DEFAULT_SWEEP_SEEDS = range(2)
 
 
+@functools.cache  # built on the first run_cli call; parse_args keeps no state
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="afmat",
@@ -93,8 +97,7 @@ def _cmd_solve(args) -> int:
     target = None if args.arg is None else names.id_of(args.arg)
     answer = semantics.query(f, args.task, args.semantics, target)
     if args.task == "EE":
-        for ext in answer:
-            print(render_argset(ext, names))
+        sys.stdout.writelines(render_argset(ext, names) + "\n" for ext in answer)
     elif args.task == "SE":
         print("NO" if answer is None else render_argset(answer, names))
     else:
@@ -158,6 +161,8 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except BrokenPipeError:  # the reader closed stdout: it has all it wants
+        return EXIT_OK
     except InternalInvariantError as exc:
         print(f"internal invariant failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
@@ -171,7 +176,14 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
 
 def main() -> None:
     sys.stdout.reconfigure(encoding="utf-8")  # answers are UTF-8 whatever the locale
-    raise SystemExit(run_cli())
+    code = run_cli()
+    try:
+        sys.stdout.flush()  # a closed pipe shows here, not at shutdown
+    except BrokenPipeError:
+        # Python flushes stdout again at exit; point it at devnull so that
+        # flush finds no pipe (the recipe in the signal module's docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

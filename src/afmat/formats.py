@@ -201,4 +201,8 @@ def parse(text: str, fmt: str) -> tuple[Framework, NameMap]:
 
 def render_argset(members: tuple[int, ...], names: NameMap) -> str:
     """Render a set of arguments as ``[a,b,c]`` in ascending identifier order."""
-    return "[" + ",".join(names.name_of(i) for i in members) + "]"
+    table = names.names
+    if members and (min(members) < 1 or max(members) > len(table)):
+        bad = min(members) if min(members) < 1 else max(members)
+        raise IndexError(f"argument {bad} outside 1..{len(table)}")
+    return "[" + ",".join([table[i - 1] for i in members]) + "]"

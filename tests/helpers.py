@@ -109,6 +109,12 @@ def assemble(sb: SubBlocks) -> Grid:
     return top + bottom
 
 
+# The acceptance corpus: CORPUS_COUNT frameworks per (n, p) cell.
+CORPUS_NS = range(1, 9)
+CORPUS_PS = (0.1, 0.3, 0.5)
+CORPUS_COUNT = 200
+
+
 def corpus_seed(n: int, p_index: int, i: int) -> int:
     return n * 1_000_000 + p_index * 10_000 + i
 

@@ -14,7 +14,16 @@ import time
 from itertools import permutations
 
 import pytest
-from helpers import AF5A, AF5B, AF5D, corpus_seed, make_corpus
+from helpers import (
+    AF5A,
+    AF5B,
+    AF5D,
+    CORPUS_COUNT,
+    CORPUS_NS,
+    CORPUS_PS,
+    corpus_seed,
+    make_corpus,
+)
 
 from afmat import (
     GeneratorConfig,
@@ -36,9 +45,6 @@ from afmat import (
 )
 
 ALL_TAGS = list(Semantics)
-CORPUS_NS = range(1, 9)
-CORPUS_PS = (0.1, 0.3, 0.5)
-CORPUS_COUNT = 200
 
 
 @pytest.fixture(scope="module")

@@ -8,10 +8,19 @@ import sys
 from pathlib import Path
 
 import pytest
-from helpers import AF5A, AF5D
+from helpers import AF5A, AF5D, CORPUS_COUNT, CORPUS_NS, CORPUS_PS, make_corpus
 
-from afmat import Framework, InternalInvariantError, format_apx, format_tgf
+from afmat import (
+    Framework,
+    InternalInvariantError,
+    Semantics,
+    format_apx,
+    format_tgf,
+    parse_tgf,
+    query,
+)
 from afmat.cli import EXIT_INTERNAL, EXIT_OK, EXIT_PARSE, EXIT_USAGE, run_cli
+from afmat.formats import render_argset
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 TGF_A = format_tgf(AF5A)
@@ -36,6 +45,11 @@ def run(capsys, *argv) -> tuple[int, str, str]:
     code = run_cli(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def cli_process_env() -> dict:
+    pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": pythonpath}
 
 
 class TestSolve:
@@ -196,6 +210,55 @@ class TestExitCodes:
         assert "unknown argument name" in err
 
 
+class TestCachedParser:
+    """The parser is built once, so each call must behave as if it ran alone."""
+
+    SOLVE = ["solve", "{a}", "--semantics", "st", "--task", "EE"]
+
+    # (first call, its exit code, second call): an option of the first
+    # call that stayed behind would change what the second one does
+    @pytest.mark.parametrize("first, first_code, second", [
+        (["solve", "{a}", "--semantics", "st", "--task", "DC", "--arg", "zzz"], EXIT_USAGE, SOLVE),
+        (["solve", "{a}", "--format", "apx", "--semantics", "st", "--task", "EE"], EXIT_PARSE, SOLVE),
+        (["verify", "{a}"], EXIT_OK, ["verify"]),
+        (["--help"], EXIT_OK, SOLVE),
+    ], ids=["arg", "format", "verify-path", "help"])
+    def test_second_call_behaves_as_if_alone(self, capsys, tgf_a, first, first_code, second):
+        import afmat.cli as cli
+
+        first = [a.format(a=tgf_a) for a in first]
+        second = [a.format(a=tgf_a) for a in second]
+        cli._build_parser.cache_clear()
+        alone = run(capsys, *second)
+        assert alone[0] == EXIT_OK
+        assert run(capsys, *first)[0] == first_code
+        assert run(capsys, *second) == alone
+
+
+NON_ASCII_TGF = "café\nnaïve\nΩ\n日本\n#\ncafé naïve\nnaïve Ω\nΩ café\n日本 日本\n"
+
+
+@pytest.fixture(scope="module")
+def ee_inputs(tmp_path_factory) -> list:
+    """The acceptance corpus and one framework with non-ASCII names, as TGF files."""
+    root = tmp_path_factory.mktemp("ee")
+    corpus = make_corpus(ns=CORPUS_NS, ps=CORPUS_PS, count=CORPUS_COUNT)
+    inputs = []
+    for i, text in enumerate([format_tgf(f) for f in corpus] + [NON_ASCII_TGF]):
+        path = root / f"{i}.tgf"
+        path.write_text(text, encoding="utf-8")
+        inputs.append((str(path), *parse_tgf(text)))
+    return inputs
+
+
+@pytest.mark.parametrize("tag", [tag.value for tag in Semantics])
+def test_ee_output_is_each_rendered_extension_on_its_own_line(capsys, ee_inputs, tag):
+    for path, f, names in ee_inputs:
+        expected = "".join(render_argset(e, names) + "\n" for e in query(f, "EE", tag))
+        assert run(capsys, "solve", path, "--semantics", tag, "--task", "EE") == (
+            EXIT_OK, expected, ""), path
+
+
 class TestGen:
     def test_golden(self, capsys):
         golden = (Path(__file__).parent / "data" / "gen_n6_p03_seed42.tgf").read_text(
@@ -291,11 +354,33 @@ def test_main_raises_system_exit(monkeypatch, capsys):
 def test_answers_are_utf8_whatever_the_locale(tmp_path):
     path = tmp_path / "u.tgf"
     path.write_text("café\n#\n", encoding="utf-8")
-    pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": pythonpath, "PYTHONIOENCODING": "ascii"}
     proc = subprocess.run(
         [sys.executable, "-m", "afmat.cli", "solve", str(path), "--semantics", "cf", "--task", "EE"],
-        capture_output=True, env=env, check=False,
+        capture_output=True, env={**cli_process_env(), "PYTHONIOENCODING": "ascii"}, check=False,
     )
     assert proc.returncode == EXIT_OK, proc.stderr
     assert proc.stdout.splitlines() == [b"[]", "[café]".encode("utf-8")]
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv, lines_read", [
+    # 2**14 conflict-free sets, about 330 KB of EE output: far more than a
+    # pipe holds, so the writer is still writing when the reader leaves
+    (["solve", "{e14}", "--semantics", "cf", "--task", "EE"], 1),
+    # a few bytes that a buffered stdout holds until the flush at exit
+    (["gen", "--n", "2", "--p", "0"], 0),
+], ids=["mid-answer", "final-flush"])
+def test_closed_stdout_is_a_quiet_exit_zero(tmp_path, argv, lines_read, unbuffered):
+    path = tmp_path / "e14.tgf"
+    path.write_text(format_tgf(Framework(14)), encoding="utf-8")
+    env = {**cli_process_env(), "PYTHONUNBUFFERED": unbuffered}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "afmat.cli", *(a.format(e14=path) for a in argv)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    for _ in range(lines_read):
+        proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (EXIT_OK, b"")

@@ -219,3 +219,9 @@ def test_render_argset():
     nm = NameMap(("a", "b", "c"))
     assert render_argset((1, 3), nm) == "[a,c]"
     assert render_argset((), nm) == "[]"
+
+
+@pytest.mark.parametrize("members", [(0,), (4,), (1, 4), (-1, 2)])
+def test_render_argset_rejects_members_outside_the_map(members):
+    with pytest.raises(IndexError, match=r"outside 1\.\.3"):
+        render_argset(members, NameMap(("a", "b", "c")))
