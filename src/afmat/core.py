@@ -65,23 +65,25 @@ class Framework:
     """A finite argumentation framework: arguments 1..n plus attacks.
 
     ``attacks`` may be given as any iterable of (attacker, target) pairs;
-    it is canonicalised to a frozenset. Self-attacks are allowed.
+    it is canonicalised to a frozenset of tuples. Self-attacks are allowed.
     """
 
     n: int
     attacks: frozenset[Attack] = frozenset()
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 0:
-            raise ValueError(f"argument count must be a non-negative integer, got {self.n!r}")
-        pairs = set()
-        for pair in self.attacks:
-            a, b = pair
+        n = self.n
+        if not isinstance(n, int) or n < 0:
+            raise ValueError(f"argument count must be a non-negative integer, got {n!r}")
+        # Each pair is checked before the set is built, so that an endpoint
+        # equal to an integer but of another type (1.0) cannot hide behind a
+        # duplicate, and an unhashable one is reported as a bad pair.
+        pairs = tuple(map(tuple, self.attacks))
+        for a, b in pairs:
             if not (isinstance(a, int) and isinstance(b, int)):
-                raise ValueError(f"attack pair {pair!r} must be a pair of integers")
-            if not (1 <= a <= self.n and 1 <= b <= self.n):
-                raise ValueError(f"attack ({a}, {b}) outside 1..{self.n}")
-            pairs.add((a, b))
+                raise ValueError(f"attack pair {(a, b)!r} must be a pair of integers")
+            if not (1 <= a <= n and 1 <= b <= n):
+                raise ValueError(f"attack ({a}, {b}) outside 1..{n}")
         object.__setattr__(self, "attacks", frozenset(pairs))
 
     @property

@@ -27,6 +27,12 @@ contain whitespace, parentheses, commas, dots or percent signs. Repeated
 ``arg`` facts collapse; an ``att`` fact naming an undeclared argument is
 an error, wherever it appears in the file.
 
+Each reader collects the attack pairs in one pass (one comprehension
+over the TGF attack lines, one ``finditer`` over the APX facts) and
+hands them to :class:`~afmat.core.Framework`, which checks each pair
+once and builds the attack set. Only when that pass fails does the TGF
+reader scan the attack lines again, to report the first bad one.
+
 The writers emit canonical files (declarations in identifier order,
 attacks sorted) so that parse -> format -> parse is the identity.
 """
@@ -39,7 +45,7 @@ from dataclasses import dataclass
 from .core import Framework
 
 _APX_NAME = re.compile(r"[^\s(),.%]+\Z")
-_APX_FACT = re.compile(r"(arg|att)\s*\(\s*([^\s(),.%]+)\s*(?:,\s*([^\s(),.%]+)\s*)?\)\s*\.")
+_APX_FACT = re.compile(r"\s*(arg|att)\s*\(\s*([^\s(),.%]+)\s*(?:,\s*([^\s(),.%]+)\s*)?\)\s*\.")
 
 
 class ParseError(ValueError):
@@ -99,17 +105,18 @@ def parse_tgf(text: str) -> tuple[Framework, NameMap]:
     if separator is None:
         raise ParseError("missing '#' separator line")
 
-    attacks = set()
-    for ln, raw in enumerate(lines[separator:], start=separator + 1):
-        tokens = raw.split()
-        if not tokens:
-            continue
-        if len(tokens) < 2:
-            raise ParseError(f"line {ln}: attack line needs a source and a target")
-        try:
-            attacks.add((index[tokens[0]], index[tokens[1]]))
-        except KeyError as exc:
-            raise ParseError(f"line {ln}: attack references undeclared argument {exc.args[0]!r}") from None
+    body = lines[separator:]
+    try:
+        attacks = [(index[t[0]], index[t[1]]) for t in map(str.split, body) if t]
+    except (KeyError, IndexError):
+        for ln, raw in enumerate(body, start=separator + 1):
+            tokens = raw.split()
+            if len(tokens) == 1:
+                raise ParseError(f"line {ln}: attack line needs a source and a target") from None
+            for name in tokens[:2]:
+                if name not in index:
+                    raise ParseError(f"line {ln}: attack references undeclared argument {name!r}") from None
+        raise
     return Framework(len(names), attacks), NameMap(tuple(names))
 
 
@@ -120,15 +127,9 @@ def parse_apx(text: str) -> tuple[Framework, NameMap]:
     index: dict[str, int] = {}
     attack_facts: list[tuple[str, str]] = []
     pos = 0
-    while True:
-        while pos < len(body) and body[pos].isspace():
-            pos += 1
-        if pos == len(body):
+    for fact in _APX_FACT.finditer(body):
+        if fact.start() != pos:
             break
-        fact = _APX_FACT.match(body, pos)
-        if fact is None:
-            snippet = body[pos : pos + 30].strip() or body[pos : pos + 30]
-            raise ParseError(f"malformed fact near {snippet!r}")
         kind, first, second = fact.groups()
         if kind == "arg":
             if second is not None:
@@ -141,13 +142,14 @@ def parse_apx(text: str) -> tuple[Framework, NameMap]:
                 raise ParseError(f"att takes two names, got {fact.group(0).strip()!r}")
             attack_facts.append((first, second))
         pos = fact.end()
+    rest = body[pos:].lstrip()
+    if rest:
+        raise ParseError(f"malformed fact near {rest[:30].rstrip()!r}")
 
-    attacks = set()
-    for src, dst in attack_facts:
-        try:
-            attacks.add((index[src], index[dst]))
-        except KeyError as exc:
-            raise ParseError(f"attack references undeclared argument {exc.args[0]!r}") from None
+    try:
+        attacks = [(index[src], index[dst]) for src, dst in attack_facts]
+    except KeyError as exc:
+        raise ParseError(f"attack references undeclared argument {exc.args[0]!r}") from None
     return Framework(len(names), attacks), NameMap(tuple(names))
 
 
@@ -166,17 +168,18 @@ def _apx_safe(name: str) -> str:
 def format_tgf(f: Framework, names: NameMap | None = None) -> str:
     """Canonical TGF text for a framework."""
     nm = names if names is not None else NameMap.identity(f.n)
-    lines = [_tgf_safe(nm.name_of(i)) for i in f.arguments]
-    lines.append("#")
-    lines.extend(f"{nm.name_of(a)} {nm.name_of(b)}" for a, b in sorted(f.attacks))
+    table = [_tgf_safe(nm.name_of(i)) for i in f.arguments]
+    lines = [*table, "#"]
+    lines.extend([f"{table[a - 1]} {table[b - 1]}" for a, b in sorted(f.attacks)])
     return "\n".join(lines) + "\n"
 
 
 def format_apx(f: Framework, names: NameMap | None = None) -> str:
     """Canonical APX text for a framework."""
     nm = names if names is not None else NameMap.identity(f.n)
-    lines = [f"arg({_apx_safe(nm.name_of(i))})." for i in f.arguments]
-    lines.extend(f"att({nm.name_of(a)},{nm.name_of(b)})." for a, b in sorted(f.attacks))
+    table = [_apx_safe(nm.name_of(i)) for i in f.arguments]
+    lines = [f"arg({name})." for name in table]
+    lines.extend([f"att({table[a - 1]},{table[b - 1]})." for a, b in sorted(f.attacks)])
     return "\n".join(lines) + "\n"
 
 

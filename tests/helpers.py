@@ -3,8 +3,9 @@
 Holds the small hand-checked frameworks the unit tests revolve around,
 a hypothesis strategy for arbitrary small frameworks,
 naive grid-walking reference implementations of the sub-block criteria
-(independent of the packed-word path in the library), and the seeded
-corpus builder used by the differential and acceptance tests.
+(independent of the packed-word path in the library), a line-by-line
+reference TGF reader, and the seeded corpus builder used by the
+differential and acceptance tests.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from itertools import chain, combinations
 
 from hypothesis import strategies as st
 
-from afmat import Framework, GeneratorConfig, SubBlocks, generate
+from afmat import Framework, GeneratorConfig, NameMap, ParseError, SubBlocks, generate
 from afmat.core import ArgSet, Grid
 
 # 3-cycle: no stable extension, grounded/ideal/eager all empty-set.
@@ -107,6 +108,47 @@ def assemble(sb: SubBlocks) -> Grid:
     top = tuple(r1 + r2 for r1, r2 in zip(sb.inner, sb.outgoing))
     bottom = tuple(r1 + r2 for r1, r2 in zip(sb.incoming, sb.outer))
     return top + bottom
+
+
+def reference_parse_tgf(text: str) -> tuple[Framework, NameMap]:
+    """TGF reader that handles one attack line at a time.
+
+    The per-line loop that ``afmat.parse_tgf`` replaced with a single
+    comprehension, kept as the reference for its results and its errors.
+    """
+    lines = text.splitlines()
+    names: list[str] = []
+    index: dict[str, int] = {}
+    separator = None
+    for ln, raw in enumerate(lines, start=1):
+        stripped = raw.strip()
+        if stripped == "#":
+            separator = ln
+            break
+        if not stripped:
+            raise ParseError(f"line {ln}: empty argument name")
+        name = stripped.split()[0]
+        if name == "#":
+            raise ParseError(f"line {ln}: '#' cannot be an argument name; the separator is a lone '#'")
+        if name in index:
+            raise ParseError(f"line {ln}: duplicate argument name {name!r}")
+        index[name] = len(names) + 1
+        names.append(name)
+    if separator is None:
+        raise ParseError("missing '#' separator line")
+
+    attacks = set()
+    for ln, raw in enumerate(lines[separator:], start=separator + 1):
+        tokens = raw.split()
+        if not tokens:
+            continue
+        if len(tokens) < 2:
+            raise ParseError(f"line {ln}: attack line needs a source and a target")
+        try:
+            attacks.add((index[tokens[0]], index[tokens[1]]))
+        except KeyError as exc:
+            raise ParseError(f"line {ln}: attack references undeclared argument {exc.args[0]!r}") from None
+    return Framework(len(names), attacks), NameMap(tuple(names))
 
 
 # The acceptance corpus: CORPUS_COUNT frameworks per (n, p) cell.

@@ -48,15 +48,30 @@ class TestFramework:
             Framework(2, {(0, 1)})
         with pytest.raises(ValueError):
             Framework(2, {(1, 3)})
-
-    @pytest.mark.parametrize("pair", [(1, "2"), (1.5, 2)])
-    def test_non_integer_endpoint(self, pair):
+        # the message names the pair that is out of range
+        with pytest.raises(ValueError, match=r"^attack \(1, 3\) outside 1\.\.2$"):
+            Framework(2, [(1, 2), (1, 3)])
+        # a pair must have exactly two endpoints
+        with pytest.raises(ValueError):
+            Framework(2, {(1,)})
+        with pytest.raises(ValueError):
+            Framework(2, {(1, 2, 2)})
+        # checked before duplicates collapse: 1.0 == 1, but is no argument
         with pytest.raises(ValueError, match="pair of integers"):
-            Framework(2, {pair})
+            Framework(2, [(1, 2), (1.0, 2)])
+
+    @pytest.mark.parametrize("pair", [(1, "2"), (1.5, 2), (1.0, 2), ([1], 2)])
+    def test_non_integer_endpoint(self, pair):
+        # an unhashable endpoint is a bad pair, not a TypeError
+        with pytest.raises(ValueError, match="pair of integers"):
+            Framework(2, [pair])
 
     def test_attacks_canonicalised(self):
         f = Framework(3, [(1, 2), (1, 2), (2, 3)])
         assert f.attacks == frozenset({(1, 2), (2, 3)})
+        f = Framework(3, [[1, 2], (2, 3)])
+        assert f.attacks == frozenset({(1, 2), (2, 3)})
+        assert all(type(pair) is tuple for pair in f.attacks)
 
     def test_empty_framework(self):
         f = Framework(0)

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import pytest
-from helpers import CYCLE3
-from hypothesis import given
+from helpers import CYCLE3, reference_parse_tgf
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from afmat import (
@@ -21,6 +21,20 @@ from afmat.formats import detect_format, parse, render_argset
 TGF_CYCLE = "1\n2\n3\n#\n1 2\n2 3\n3 1\n"
 APX_CYCLE = "arg(1). arg(2). arg(3). att(1,2). att(2,3). att(3,1)."
 
+# Malformed APX texts and the error each must raise. Text before, between
+# or after the facts is an error wherever it stands.
+APX_MALFORMED = {
+    "arg(a)": "malformed fact near 'arg(a)'",
+    "arg().": "malformed fact near 'arg().'",
+    "arg(a,b).": "arg takes one name, got 'arg(a,b).'",
+    "att(a).": "att takes two names, got 'att(a).'",
+    "att(a b).": "malformed fact near 'att(a b).'",
+    "bogus(a).": "malformed fact near 'bogus(a).'",
+    "arg(a). x": "malformed fact near 'x'",
+    "x arg(a).": "malformed fact near 'x arg(a).'",
+    "arg(a).  junk  arg(b).": "malformed fact near 'junk  arg(b).'",
+    " \n arg(a) . att( a ,b). " + "y" * 40: "malformed fact near '" + "y" * 30 + "'",
+}
 
 names_strategy = st.lists(
     st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789_-", min_size=1, max_size=6),
@@ -38,6 +52,45 @@ def named_frameworks(draw):
         return Framework(0), NameMap(())
     pairs = st.tuples(st.integers(1, n), st.integers(1, n))
     return Framework(n, draw(st.frozensets(pairs, max_size=n * n))), NameMap(tuple(names))
+
+
+# Line ends that str.splitlines honours, and the gaps between tokens.
+LINE_ENDS = ("\n", "\r\n", "\x0c", "\u2028")
+GAPS = (" ", "\t", "  ")
+LABELS = ("", " x", "\tweak label", " a b")
+
+
+@st.composite
+def tgf_texts(draw):
+    """TGF files with ignored labels, blank and whitespace-only lines, mixed
+    line ends, and one-token lines and undeclared names anywhere after the
+    separator."""
+    pool = ("a", "b", "c", "d", "e")
+    declared = draw(st.lists(st.sampled_from(pool), max_size=4, unique=True))
+    name = st.sampled_from(declared) | st.sampled_from(pool) if declared else st.sampled_from(pool)
+    gap = st.sampled_from(GAPS)
+    edge = st.sampled_from(("", *GAPS))
+    label = st.sampled_from(LABELS)
+    attack = st.builds(lambda e, s, g, t, lab: f"{e}{s}{g}{t}{lab}", edge, name, gap, name, label)
+    line = st.one_of(
+        attack, attack, attack,
+        edge,
+        st.builds(lambda e, s, f: f"{e}{s}{f}", edge, name, edge),
+    )
+    lines = [d + draw(label) for d in declared]
+    lines.append(draw(st.sampled_from(("#", " # ", "#\t"))))
+    lines += draw(st.lists(line, max_size=8))
+    ends = draw(st.lists(st.sampled_from(LINE_ENDS), min_size=len(lines), max_size=len(lines)))
+    text = "".join(ln + end for ln, end in zip(lines, ends))
+    return text if draw(st.booleans()) else text[: -len(ends[-1])]
+
+
+def outcome(reader, text):
+    """What a reader makes of ``text``: its result or its error message."""
+    try:
+        return reader(text)
+    except ParseError as exc:
+        return str(exc)
 
 
 class TestNameMap:
@@ -125,6 +178,13 @@ class TestParseTgf:
         with pytest.raises(ParseError, match="source and a target"):
             parse_tgf("a\n#\na\n")
 
+    @given(tgf_texts())
+    @example("a\n#\na a\nz a\na\n")  # the first of two bad lines is named
+    @example("a\n#\na\nz a\n")
+    @example("a\r\n#\r\n\x0c\u2028a a label\r\n \t\na y\n")
+    def test_matches_the_line_by_line_reader(self, text):
+        assert outcome(parse_tgf, text) == outcome(reference_parse_tgf, text)
+
 
 class TestParseApx:
     def test_cycle(self):
@@ -161,13 +221,11 @@ class TestParseApx:
         assert f == Framework(2)
         assert nm.names == ("a", "b")
 
-    @pytest.mark.parametrize(
-        "text",
-        ["arg(a)", "arg().", "arg(a,b).", "att(a).", "att(a b).", "bogus(a).", "arg(a). x"],
-    )
+    @pytest.mark.parametrize("text", list(APX_MALFORMED))
     def test_malformed_facts(self, text):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as err:
             parse_apx(text)
+        assert str(err.value) == APX_MALFORMED[text]
 
 
 class TestWriters:
