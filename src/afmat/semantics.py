@@ -26,11 +26,12 @@ sets of one size among them in lexicographic order. Every family leaves
 sort by size alone gives the public order (by cardinality, then
 lexicographic).
 
-The unpruned walk (cf, co and everything built on co) reaches every
-conflict-free set exactly once. For st and ad the walk looks ahead: the
-sets below a node are S plus some of ``cand``, so everything they can
-attack lies in ``reach = plus | OR(targets[i] for i in cand)``, one pass
-over ``cand``. The node is dropped with its whole subtree when
+The unpruned walk (cf, co, and the tags read off the complete nodes)
+reaches every conflict-free set exactly once. For st and ad the walk
+looks ahead: the sets below a node are S plus some of ``cand``, so
+everything they can attack lies in ``reach = plus | OR(targets[i] for i
+in cand)``, one pass over ``cand``. The node is dropped with its whole
+subtree when
 
 * st, ad -- ``minus & ~reach != 0``: some attacker of S is attacked by
   no set below, so none of them is admissible;
@@ -71,7 +72,11 @@ whose mask is inclusion-maximal (Dung, AIJ 77, 1995), semi-stable those
 whose range ``mask | plus`` is (Caminada, COMMA 2006). Every admissible
 set lies inside a complete one whose range covers its own, so this
 equals the maximal admissible sets and the admissible sets of maximal
-range. Grounded, ideal and eager come from ``_fixpoint``, which iterates
+range. When a stable extension exists, the semi-stable extensions are
+exactly the stable ones (Caminada, COMMA 2006): a stable set's range is
+every argument, so no other range can be maximal. So sst / eg run the
+pruned st walk first and read the complete nodes only when it finds
+nothing. Grounded, ideal and eager come from ``_fixpoint``, which iterates
 Dung's defence function (a set defends every argument whose attackers
 it all attacks) on the bit tables. Grounded is its least fixed point,
 reached from the empty set; it equals the paper's least complete set.
@@ -83,14 +88,31 @@ Each is unique by construction.
 Every extension of every tag comes from one place, ``_extensions``: it
 yields the walk node of each extension. For a core tag (cf, st, ad,
 co) that is the walk itself, looking ahead for st / ad, filtered lazily
-by the word test; for pr / sst it is the maximal complete nodes, and for
-gr / id / eg the node the fixpoint ends on. :func:`extensions` collects
-the sets, and :func:`query` answers each catalogue question from a table
-entry of two parts: a word test on a node against the target mask t
+by the word test; for pr / sst it is the maximal complete nodes (for sst
+the stable nodes, if there are any), and for gr / id / eg the node the
+fixpoint ends on. :func:`extensions` collects the sets, and
+:func:`query` answers each catalogue question from a table entry of two
+parts: a word test on a node against the target mask t
 (contains the target, ``t & ~mask == 0``, or attacks it,
 ``plus & t != 0``) and a summary of the nodes (some, all, the first, or
 the ordered list of those that pass). On a core tag, some / all stop at
 the first witness or counterexample.
+
+Both tests are monotone: a superset of a passing set passes. So some
+(tag, summary) pairs take a route in ``_ROUTES`` that reads fewer nodes
+than the tag's extensions and gives the same answer:
+
+* co, all (DS, AS) -- the grounded node alone. It is the least complete
+  extension (Dung 1995), so every complete extension passes iff it does.
+* co, first (SE, SE-containing, SE-attacking) -- the grounded node if it
+  passes, since every other complete extension strictly contains it;
+  else the complete walk.
+* co / pr, some (exists, DC, AC) -- the pruned ad walk, stopping at the
+  first witness. Every admissible set lies inside a preferred one, and
+  every preferred extension is complete.
+
+The other co / pr questions, every id question, and sst / eg when no
+stable extension exists still walk every conflict-free set.
 
 Families and answers are deterministic: sets are ordered by cardinality
 and then lexicographically.
@@ -333,8 +355,12 @@ def _extensions(f: Framework, tag: Semantics) -> Iterable[_Node]:
         return [_fixpoint(tables, 0, tables.full)]
 
     by_range = tag in (Semantics.SEMI_STABLE, Semantics.EAGER)
-    complete = list(_select(Semantics.COMPLETE, tables, _walk(tables)))
-    top = _maximal(complete, (lambda v: v[1] | v[2]) if by_range else (lambda v: v[1]))
+    top = []
+    if by_range:  # when a stable extension exists, the semi-stable ones are the stable ones
+        top = list(_select(Semantics.STABLE, tables, _walk(tables, Semantics.STABLE)))
+    if not top:
+        complete = list(_select(Semantics.COMPLETE, tables, _walk(tables)))
+        top = _maximal(complete, (lambda v: v[1] | v[2]) if by_range else (lambda v: v[1]))
     if tag in (Semantics.PREFERRED, Semantics.SEMI_STABLE):
         return top
     fence = tables.full
@@ -389,6 +415,26 @@ _QUESTIONS = {
 _GLOBAL = {"exists": "DC", "SE": "SE-containing", "EE": "EE-containing"}
 
 
+def _grounded_first(f: Framework, hit: Callable[[_Node], bool]) -> Iterable[_Node]:
+    """The grounded node if it passes, else every complete node: the grounded
+    extension lies strictly inside every other complete one, so no other
+    passing extension is as small."""
+    grounded = _extensions(f, Semantics.GROUNDED)
+    return grounded if hit(grounded[0]) else _extensions(f, Semantics.COMPLETE)
+
+
+# (tag, summary) -> nodes that give the summary of every extension of the tag
+# under both tests, which are monotone: a superset of a passing set passes.
+_ROUTES = {
+    # the grounded extension is the least complete one
+    (Semantics.COMPLETE, _every): lambda f, hit: _extensions(f, Semantics.GROUNDED),
+    (Semantics.COMPLETE, _first): _grounded_first,
+    # every admissible set lies inside a preferred, hence complete, one
+    (Semantics.COMPLETE, _some): lambda f, hit: _extensions(f, Semantics.ADMISSIBLE),
+    (Semantics.PREFERRED, _some): lambda f, hit: _extensions(f, Semantics.ADMISSIBLE),
+}
+
+
 def query(
     f: Framework,
     question: str,
@@ -405,6 +451,13 @@ def query(
     ``EE-attacking`` (witness or list thereof). The universally
     quantified answers are vacuously true for an empty family. A target
     given with a global question is ignored.
+
+    The answers are those over the whole family, but some come by a
+    shorter route: DS / AS and a passing SE on co from the grounded
+    extension (the least complete one), exists / DC / AC on co and pr
+    from the admissible walk (every admissible set lies inside a
+    preferred one), and every sst / eg question from the stable
+    extensions when there are any (then they are the semi-stable ones).
     """
     tag = Semantics(tag)
     if question in _GLOBAL:
@@ -414,5 +467,6 @@ def query(
     if target is None:
         raise ValueError(f"question {question!r} needs a target argument or set")
     summary, test = _QUESTIONS[question]
-    t = pack(checked_argset(f, (target,) if isinstance(target, int) else target))
-    return summary(_extensions(f, tag), test(t))
+    hit = test(pack(checked_argset(f, (target,) if isinstance(target, int) else target)))
+    route = _ROUTES.get((tag, summary))
+    return summary(route(f, hit) if route else _extensions(f, tag), hit)

@@ -46,11 +46,12 @@ from afmat import (
     query,
     range_of,
     relabel,
+    semantics,
     stable_on_norm_form,
     to_norm_form,
 )
 from afmat.core import _TABLES_CACHED, _verify_norm_form, attack_tables, pack, unpack
-from afmat.semantics import _maximal, _select, _walk
+from afmat.semantics import _fixpoint, _maximal, _select, _walk
 
 ALL_TAGS = list(Semantics)
 
@@ -474,23 +475,32 @@ def catalogue_by_sets(f, family, target):
     }
 
 
+def check_catalogue(f, tag, family, targets):
+    """``query`` against set logic over ``family``: every global question,
+    and every local one about each target."""
+    expected = catalogue_by_sets(f, family, ())
+    for q in GLOBAL_QUESTIONS:
+        answer = query(f, q, tag)
+        assert answer == expected[q] and type(answer) is type(expected[q]), (tag, q)
+    for target in targets:
+        expected = catalogue_by_sets(f, family, (target,) if isinstance(target, int) else target)
+        for q in LOCAL_QUESTIONS:
+            answer = query(f, q, tag, target)
+            assert answer == expected[q] and type(answer) is type(expected[q]), (tag, q, target)
+
+
 class TestQueries:
     @settings(deadline=None)
     @given(frameworks(max_n=6))
     @example(CYCLE3)
+    # stable {2}: sst is {2} alone, pr also holds {1}
+    @example(Framework(3, {(1, 2), (2, 1), (2, 3), (3, 3)}))
+    # grounded empty, three complete extensions
+    @example(Framework(2, {(1, 2), (2, 1)}))
     def test_catalogue_matches_oracle(self, f):
         targets = list(f.arguments) + ([(1, f.n)] if f.n >= 2 else [])
         for tag in ALL_TAGS:
-            family = oracle_family(f, tag).sets
-            expected = catalogue_by_sets(f, family, ())
-            for q in GLOBAL_QUESTIONS:
-                answer = query(f, q, tag)
-                assert answer == expected[q] and type(answer) is type(expected[q]), (tag, q)
-            for target in targets:
-                expected = catalogue_by_sets(f, family, (target,) if isinstance(target, int) else target)
-                for q in LOCAL_QUESTIONS:
-                    answer = query(f, q, tag, target)
-                    assert answer == expected[q] and type(answer) is type(expected[q]), (tag, q, target)
+            check_catalogue(f, tag, oracle_family(f, tag).sets, targets)
 
     def test_membership_questions(self):
         assert query(AF5A, "DC", "st", 1)
@@ -537,6 +547,62 @@ class TestQueries:
     def test_witness_helpers(self):
         assert query(AF5B, "EE-containing", "pr", 4) == [(2, 4)]
         assert query(AF5B, "EE-attacking", "pr", 3) == [(2, 4)]
+
+
+ROUTED_TAGS = (Semantics.COMPLETE, Semantics.PREFERRED, Semantics.SEMI_STABLE, Semantics.EAGER)
+
+
+def plain_family(f, tag):
+    """The extensions of a routed tag by no route: co / pr as ``extensions``
+    walks them, sst / eg from the range-maximal nodes of the unpruned
+    complete walk, eg as the fixpoint inside their intersection."""
+    if tag in (Semantics.COMPLETE, Semantics.PREFERRED):
+        return extensions(f, tag).sets
+    tables = attack_tables(f)
+    top = _maximal(list(_select(Semantics.COMPLETE, tables, _walk(tables))), key=lambda v: v[1] | v[2])
+    if tag is Semantics.SEMI_STABLE:
+        return {v[0] for v in top}
+    fence = tables.full
+    for v in top:
+        fence &= v[1]
+    return {_fixpoint(tables, fence, fence)[0]}
+
+
+class TestRoutes:
+    """co / pr / sst / eg questions go through the grounded node, the
+    admissible walk or the stable walk; the answers must equal set logic
+    over the family no route built."""
+
+    @pytest.mark.parametrize("tag", ROUTED_TAGS, ids=lambda t: t.value)
+    @pytest.mark.parametrize("f", BEYOND_ORACLE, ids=lambda f: f"n{f.n}")
+    def test_every_question_matches_plain_family(self, f, tag):
+        check_catalogue(f, tag, plain_family(f, tag), list(f.arguments) + [(1, f.n)])
+
+    @pytest.mark.parametrize("tag", ROUTED_TAGS, ids=lambda t: t.value)
+    @pytest.mark.parametrize("f", STRESSORS, ids=lambda f: f"n{f.n}")
+    def test_global_questions_match_plain_family(self, f, tag):
+        check_catalogue(f, tag, plain_family(f, tag), [])
+
+    def test_routes_start_no_unpruned_walk(self, monkeypatch):
+        # one stable set; the unpruned walk over every conflict-free set
+        # would not end here
+        f = generate(GeneratorConfig(n=80, p=0.1, seed=2024))
+        walk = semantics._walk
+
+        def pruned_only(tables, tag=None):
+            assert tag in LOOKAHEAD_TAGS, tag
+            return walk(tables, tag)
+
+        monkeypatch.setattr(semantics, "_walk", pruned_only)
+        stable = query(f, "EE", "st")
+        assert len(stable) == 1
+        assert query(f, "EE", "sst") == stable
+        assert query(f, "EE", "eg") == stable
+        assert query(f, "SE", "co") == query(f, "SE", "gr") == ()
+        assert query(f, "DS", "co", 2) is False
+        assert query(f, "AS", "co", 2) is False
+        assert query(f, "DC", "pr", 2) is True
+        assert query(f, "AC", "pr", 2) is False
 
 
 @pytest.mark.parametrize("k, q, message", [
