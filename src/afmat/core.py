@@ -114,14 +114,12 @@ def pack(members: Iterable[int]) -> int:
 
 
 def unpack(mask: int) -> ArgSet:
-    """Inverse of :func:`pack`."""
+    """Inverse of :func:`pack`, one step per set bit."""
     out = []
-    a = 1
     while mask:
-        if mask & 1:
-            out.append(a)
-        mask >>= 1
-        a += 1
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
     return tuple(out)
 
 
@@ -133,6 +131,7 @@ class AttackTables(NamedTuple):
     targets: tuple[int, ...]    # targets[i]: everything argument i attacks
     attackers: tuple[int, ...]  # attackers[i]: everything that attacks i
     loops: int                  # the self-attacking arguments
+    above: tuple[int, ...]      # above[i]: C(i) restricted to the arguments above i
 
 
 # How many frameworks keep their attack tables cached. A caller that
@@ -151,7 +150,16 @@ def attack_tables(f: Framework) -> AttackTables:
         attackers[b] |= 1 << (a - 1)
         if a == b:
             loops |= 1 << (a - 1)
-    return AttackTables(f.n, (1 << f.n) - 1, tuple(targets), tuple(attackers), loops)
+    full = (1 << f.n) - 1
+    # Compatibility C(i): the arguments j != i with no attack in either
+    # direction between i and j and no self-attack on j. It is symmetric, so
+    # the part above i is all a walk needs; a self-attacker has none.
+    free = full & ~loops
+    above = [0] * (f.n + 1)
+    for i in range(1, f.n + 1):
+        if not (loops >> (i - 1)) & 1:
+            above[i] = (free >> i << i) & ~(targets[i] | attackers[i])
+    return AttackTables(f.n, full, tuple(targets), tuple(attackers), loops, tuple(above))
 
 
 def internal_attack(f: Framework, members: ArgSet) -> Attack | None:

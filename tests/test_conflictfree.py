@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from afmat import Framework, basic_sets, extensions, is_conflict_free, iter_conflict_free
+from afmat.core import attack_tables, unpack
 
 
 def levels(f):
@@ -81,6 +82,23 @@ class TestBasicSets:
                     and (j, j) not in f.attacks
                 )
                 assert (j in compatible) == expected
+
+    def test_walk_words_are_compatibility_above(self, small_corpus):
+        # the walk and basic_sets both read the tables' words; a
+        # self-attacker has an empty word and lies in no other word
+        for f in small_corpus + [Framework(4, {(1, 1), (2, 3), (4, 4)})]:
+            tables = attack_tables(f)
+            sets = basic_sets(f)
+            for i in f.arguments:
+                above = {
+                    j
+                    for j in f.arguments
+                    if j > i and not {(i, j), (j, i), (i, i), (j, j)} & f.attacks
+                }
+                assert unpack(tables.above[i]) == tuple(sorted(above))
+                if i in sets:
+                    below = {j for j in f.arguments if i in unpack(tables.above[j])}
+                    assert sets[i] == above | below
 
 
 class TestEnumeration:

@@ -6,7 +6,7 @@ from itertools import permutations
 
 import pytest
 from helpers import AF5A, AF5D, CYCLE3, assemble, make_corpus
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from afmat import (
@@ -22,6 +22,7 @@ from afmat import (
     relabel,
     to_norm_form,
 )
+from afmat.core import pack, unpack
 
 
 @st.composite
@@ -328,3 +329,11 @@ def test_relabel_roundtrip():
     assert relabel(f, (2, 3, 1, 5, 4)) == AF5A
     with pytest.raises(MalformedPermutationError):
         relabel(AF5A, (1, 2, 3))
+
+
+@given(st.frozensets(st.integers(1, 1000)))
+@example(frozenset({1, 64, 65, 999, 1000}))
+def test_pack_unpack_roundtrip(members):
+    mask = pack(members)
+    assert mask.bit_count() == len(members)
+    assert unpack(mask) == tuple(sorted(members))

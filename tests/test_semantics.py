@@ -342,6 +342,8 @@ STRESSORS = [
     generate(GeneratorConfig(n=n, p=p, seed=2024)) for n, p in ((22, 0.03), (24, 0.05), (30, 0.08))
 ]
 LOOKAHEAD_TAGS = (Semantics.STABLE, Semantics.ADMISSIBLE)
+# grounded {4}; the stable sets {1, 4} and {2, 4} add undecided arguments below 4
+UNDECIDED_BELOW_GROUNDED = Framework(4, {(1, 2), (2, 1), (4, 3)})
 
 
 def pruned_and_plain(f, tag):
@@ -367,6 +369,7 @@ class TestLookahead:
     # a loop argument is never in ``cand``, so only ``reach`` can cover it
     @example(Framework(2, {(1, 1)}))
     @example(Framework(3, {(1, 1), (2, 1), (3, 2)}))
+    @example(UNDECIDED_BELOW_GROUNDED)
     def test_pruned_route_equals_plain_route_on_small_frameworks(self, f):
         for tag in LOOKAHEAD_TAGS:
             pruned, plain = pruned_and_plain(f, tag)
@@ -379,9 +382,26 @@ class TestLookahead:
         tables = attack_tables(generate(GeneratorConfig(n=60, p=0.1, seed=2024)))
         assert sum(1 for _ in islice(_walk(tables, tag), most + 1)) <= most
 
+    def test_stable_walk_starts_at_grounded_extension(self):
+        # two stable sets; the walk rooted at the grounded extension visits
+        # 4 nodes, the walk from the empty set does not end within 30 s
+        f = generate(GeneratorConfig(n=1000, p=0.002, seed=2024))
+        tables = attack_tables(f)
+        nodes = list(islice(_walk(tables, Semantics.STABLE), 51))
+        assert len(nodes) <= 50
+        assert nodes[0][0] == oracle_grounded_fixpoint(f)
+        stable = query(f, "EE", "st")
+        assert len(stable) == 2
+        for s in map(set, stable):
+            attacked = {b for a, b in f.attacks if a in s}
+            assert not attacked & s
+            assert attacked | s == set(f.arguments)
+
 
 @pytest.mark.parametrize("tag", ALL_TAGS, ids=lambda t: t.value)
-@pytest.mark.parametrize("f", BEYOND_ORACLE + STRESSORS, ids=lambda f: f"n{f.n}")
+@pytest.mark.parametrize(
+    "f", BEYOND_ORACLE + STRESSORS + [UNDECIDED_BELOW_GROUNDED], ids=lambda f: f"n{f.n}"
+)
 def test_answer_order_beyond_oracle_bound(f, tag):
     # the answers come out of the walk sorted by size alone; the full
     # (cardinality, lexicographic) key must agree with them
