@@ -13,48 +13,61 @@ build C(i) once per framework, as the word ``above[i]`` of its members
 above i; compatibility is symmetric, so :func:`basic_sets` reads the
 part below i off the same words.
 
-Every family is read off one depth-first walk over these words,
-``_walk``. Each node ``(set, mask, plus, minus, cand)`` carries
-the set S, the bitmask of S, ``plus`` (the OR of the members' rows:
-everything S attacks), ``minus`` (the OR of their columns: everything
-that attacks S) and ``cand``: the arguments above max(S) compatible
-with every member. The child for i in ``cand`` gets ``cand & above[i]``
-and ORs the attack rows of i into ``plus`` and ``minus``. Every child is
-conflict-free by construction, and the stack never holds more than
-O(n^2) nodes. Children are pushed
-highest first, so the walk pops sets in lexicographic preorder, and the
-sets of one size among them in lexicographic order. Every family leaves
-``_extensions`` in that order (``_select`` filters the walk lazily,
-``_maximal`` keeps its input order, a fixpoint is one node), so a stable
-sort by size alone gives the public order (by cardinality, then
-lexicographic).
+Every family is read off one of two engines. The first is a depth-first
+walk over these words, ``_walk``. Each node ``(set, mask, plus, minus,
+cand)`` carries the set S, the bitmask of S, ``plus`` (the OR of the
+members' rows: everything S attacks), ``minus`` (the OR of their
+columns: everything that attacks S) and ``cand``: the arguments above
+max(S) compatible with every member. The child for i in ``cand`` gets
+``cand & above[i]`` and ORs the attack rows of i into ``plus`` and
+``minus``. Every child is conflict-free by construction, and the stack
+never holds more than O(n^2) nodes. Children are pushed highest first,
+so the walk pops sets in lexicographic preorder, and the sets of one
+size among them in lexicographic order. Every family the
+walk gives leaves ``_extensions`` in that order (``_select`` filters the
+walk lazily, ``_maximal`` keeps its input order, a fixpoint is one
+node), so a stable sort by size alone gives the public order (by
+cardinality, then lexicographic).
 
-The unpruned walk (cf, co, and the tags read off the complete nodes)
-reaches every conflict-free set exactly once. For st and ad the walk
-looks ahead: the sets below a node are S plus some of ``cand``, so
-everything they can attack lies in ``reach = plus | OR(targets[i] for i
-in cand)``, one pass over ``cand``. The node is dropped with its whole
-subtree when
+The unpruned walk (cf, and the complete nodes pr / id read) reaches
+every conflict-free set exactly once. For ad the walk looks ahead: the
+sets below a node are S plus some of ``cand``, so everything they can
+attack lies in ``reach = plus | OR(targets[i] for i in cand)``, one pass
+over ``cand``. When ``minus & ~reach != 0``, some attacker of S is
+attacked by no set below, so none of them is admissible, and the node is
+dropped with its whole subtree. This changes only how many nodes are
+visited, not which extensions are found.
 
-* st, ad -- ``minus & ~reach != 0``: some attacker of S is attacked by
-  no set below, so none of them is admissible;
-* st     -- ``full & ~(mask | cand) & ~reach != 0``: some argument that
-  can never join (self-attackers included) is attacked by no set below,
-  so none of them is stable.
+The second engine, ``_search``, finds the stable and complete
+extensions by a labelling search (Modgil & Caminada 2009; Nofal,
+Atkinson & Dunne, AIJ 207, 2014). A labelling puts arguments in
+(``inn``, with its ``plus`` and ``minus``) or excludes them for good
+(``ex``, the self-attackers from the start). Putting a in fails if a is
+excluded; otherwise everything a attacks or is attacked by is excluded.
+``_settle`` then forces the labels that follow, until none does:
 
-Every st / ad extension survives both rules, so the look-ahead changes
-only how many nodes are visited, not which extensions are found.
+* st -- an undecided argument whose attackers are all excluded must be
+  in; an excluded argument outside ``plus`` needs an undecided attacker:
+  with none the labelling fails, with one that attacker goes in.
+* co -- an argument outside ``inn | plus`` whose attackers all lie in
+  ``plus`` is defended, so it must be in (it fails if excluded); an
+  attacker of ``inn`` outside ``plus`` needs an undecided attacker, as
+  above.
 
-The st walk also starts at the grounded extension G, not at the empty
-set. Every stable extension is complete, so it contains G (Dung, AIJ 77,
-1995), and being conflict-free it holds nothing G attacks. So the root
-is G's node with ``cand = full & ~loops & ~(mask_G | plus_G)``, the
-undecided arguments, which may lie below max(G); each is compatible with
-G, whose attackers all lie in ``plus_G``. Below the root the walk adds a
-set T of them in lexicographic preorder, and same-size sets G | T1 and
-G | T2 compare as T1 and T2 do, since their symmetric difference is
-T1 ^ T2. At n=1000, p=0.002 this walk visits 4 nodes. The co / pr / id
-walks still start at the empty set.
+The search starts by putting the unattacked arguments in, and the co
+rule for defended arguments is Dung's defence function, so its first
+labelling settles at the grounded extension G, and for st on a superset
+of it. A settled labelling branches on the open constraint with the
+fewest candidates, each candidate going in with the ones before it
+excluded; with none open, on the undecided argument of highest in+out
+degree, in and then excluded. With no undecided argument left, ``inn``
+meets every rule, so it is stable / complete. The branches share no
+labelling, so each extension is found once, but not in preorder:
+``_search`` sorts its nodes by the full (cardinality, set) key. The
+defended scan and the branching skip the self-attackers, which are
+excluded from the start and never defended. The search needs few
+labellings where the walk would visit millions of sets; it is slower
+than the walk on a family of 10^4 or more complete sets.
 
 With ``full`` the word of all arguments, the core criteria are tests on
 the words of a node:
@@ -88,9 +101,9 @@ set lies inside a complete one whose range covers its own, so this
 equals the maximal admissible sets and the admissible sets of maximal
 range. When a stable extension exists, the semi-stable extensions are
 exactly the stable ones (Caminada, COMMA 2006): a stable set's range is
-every argument, so no other range can be maximal. So sst / eg run the
-pruned st walk first and read the complete nodes only when it finds
-nothing. Grounded, ideal and eager come from ``_fixpoint``, which iterates
+every argument, so no other range can be maximal. So sst / eg take the
+stable extensions first and read the complete nodes only when there are
+none. Grounded, ideal and eager come from ``_fixpoint``, which iterates
 Dung's defence function (a set defends every argument whose attackers
 it all attacks) on the words: each round ORs the rows of the set's bits
 into ``plus`` and keeps the bits j of its bound ``within`` with
@@ -102,11 +115,11 @@ is conflict-free, so iterating from it inside it falls to that set.
 Each is unique by construction.
 
 Every extension of every tag comes from one place, ``_extensions``: it
-yields the walk node of each extension. For a core tag (cf, st, ad,
-co) that is the walk itself, looking ahead for st / ad, filtered lazily
-by the word test; for pr / sst it is the maximal complete nodes (for sst
-the stable nodes, if there are any), and for gr / id / eg the node the
-fixpoint ends on. :func:`extensions` collects the sets, and
+yields the node of each extension. For cf / ad that is the walk,
+looking ahead for ad, filtered lazily by the word test; for st / co the
+search's nodes; for pr / sst the maximal complete nodes of the walk (for
+sst the stable nodes, if there are any), and for gr / id / eg the node
+the fixpoint ends on. :func:`extensions` collects the sets, and
 :func:`query` answers each catalogue question from a table entry of two
 parts: a word test on a node against the target mask t
 (contains the target, ``t & ~mask == 0``, or attacks it,
@@ -122,13 +135,13 @@ than the tag's extensions and gives the same answer:
   extension (Dung 1995), so every complete extension passes iff it does.
 * co, first (SE, SE-containing, SE-attacking) -- the grounded node if it
   passes, since every other complete extension strictly contains it;
-  else the complete walk.
+  else the complete search.
 * co / pr, some (exists, DC, AC) -- the pruned ad walk, stopping at the
   first witness. Every admissible set lies inside a preferred one, and
   every preferred extension is complete.
 
-The other co / pr questions, every id question, and sst / eg when no
-stable extension exists still walk every conflict-free set.
+Every other pr question, every id question, and sst / eg when no stable
+extension exists still walk every conflict-free set.
 
 Families and answers are deterministic: sets are ordered by cardinality
 and then lexicographically.
@@ -154,7 +167,7 @@ from .core import (
     unpack,
 )
 
-# A walk node: (set, mask, plus, minus, cand).
+# A node: (set, mask, plus, minus, cand); the search's nodes carry cand 0.
 _Node = tuple[ArgSet, int, int, int, int]
 
 
@@ -187,27 +200,14 @@ def basic_sets(f: Framework) -> dict[int, frozenset[int]]:
 def _walk(tables: AttackTables, tag: Semantics | None = None) -> Iterator[_Node]:
     """Conflict-free sets as nodes, in lexicographic preorder.
 
-    With no tag, or a tag other than st / ad, every conflict-free set is
-    yielded exactly once. With st or ad, a node is dropped with its whole
+    With no tag, or a tag other than ad, every conflict-free set is
+    yielded exactly once. With ad, a node is dropped with its whole
     subtree when ``reach`` (``plus`` OR the rows of every argument in
-    ``cand``: everything a set below can attack) misses an attacker of S,
-    or, for st, an argument that can never join.
-
-    The st walk starts at the grounded extension G, which every stable
-    extension contains, with the undecided arguments
-    ``full & ~loops & ~(mask_G | plus_G)`` as its ``cand``. Its stack
-    carries only the part T added to G, so a node under a non-empty G
-    takes its set from its mask. Same-size sets keep their lexicographic
-    order: A = G | T1 and B = G | T2 differ by T1 ^ T2, so they compare as
-    T1 and T2 do.
+    ``cand``: everything a set below can attack) misses an attacker of S.
     """
-    targets, attackers, above, full = tables.targets, tables.attackers, tables.above, tables.full
-    lookahead = tag in (Semantics.STABLE, Semantics.ADMISSIBLE)
-    stable = tag is Semantics.STABLE
-    base = plus = minus = 0
-    if stable:
-        _, base, plus, minus, _ = _fixpoint(tables, 0, full)
-    stack = [((), base, plus, minus, full & ~(tables.loops | base | plus))]
+    targets, attackers, above = tables.targets, tables.attackers, tables.above
+    lookahead = tag is Semantics.ADMISSIBLE
+    stack = [((), 0, 0, 0, tables.full & ~tables.loops)]
     push = stack.append
     while stack:
         node = stack.pop()
@@ -218,10 +218,8 @@ def _walk(tables: AttackTables, tag: Semantics | None = None) -> Iterator[_Node]
                 low = rest & -rest
                 reach |= targets[low.bit_length()]
                 rest ^= low
-            if minus & ~reach or (stable and full & ~(mask | cand | reach)):
+            if minus & ~reach:
                 continue
-            if base:  # s holds only the arguments added to the grounded root
-                node = (unpack(mask), mask, plus, minus, cand)
         yield node
         rest = cand
         while rest:
@@ -229,6 +227,90 @@ def _walk(tables: AttackTables, tag: Semantics | None = None) -> Iterator[_Node]
             bit = 1 << (i - 1)
             rest ^= bit
             push((s + (i,), mask | bit, plus | targets[i], minus | attackers[i], cand & above[i]))
+
+
+def _settle(
+    tables: AttackTables, stable: bool, inn: int, ex: int, plus: int, minus: int, add: int
+) -> tuple[int, int, int, int, int] | None:
+    """Put the arguments of ``add`` in, then force the labels that follow
+    until none does. None if the labelling fails; else the settled
+    ``(inn, ex, plus, minus, branch)``, where ``branch`` holds the
+    candidates of the tightest open constraint, or is 0 when none is open."""
+    targets, attackers, full, loops = tables.targets, tables.attackers, tables.full, tables.loops
+    while True:
+        grew = add
+        while add:
+            low = add & -add
+            if low & ex:
+                return None
+            a = low.bit_length()
+            inn |= low
+            ex |= targets[a] | attackers[a]
+            plus |= targets[a]
+            minus |= attackers[a]
+            add ^= low
+        undecided = full & ~(inn | ex)
+        need = (ex if stable else minus) & ~plus
+        branch, fewest = 0, full.bit_length() + 1
+        while need:
+            low = need & -need
+            cand = attackers[low.bit_length()] & undecided
+            if not cand:
+                return None
+            if cand & (cand - 1) == 0:
+                add |= cand
+            elif not add and cand.bit_count() < fewest:
+                branch, fewest = cand, cand.bit_count()
+            need ^= low
+        # st: an argument no one left can attack must be in. co: so must one
+        # the set defends; only an argument put in can make the set defend more
+        rest, out = (undecided, ~ex) if stable else (grew and full & ~(inn | plus | loops), ~plus)
+        while rest:
+            a = rest.bit_length()
+            rest ^= 1 << (a - 1)
+            if not attackers[a] & out:
+                add |= 1 << (a - 1)
+        if not add:
+            return inn, ex, plus, minus, branch
+
+
+def _search(tables: AttackTables, tag: Semantics) -> list[_Node]:
+    """The stable or complete extensions as nodes, by the labelling search
+    the module docstring describes, sorted by cardinality and then
+    lexicographically."""
+    stable = tag is Semantics.STABLE
+    full, settle = tables.full, _settle
+    hubs: list[int] = []
+    found = []
+    unattacked = full
+    for row in tables.targets:
+        unattacked &= ~row
+    stack = [(0, tables.loops, 0, 0, unattacked)]
+    push = stack.append
+    while stack:
+        node = settle(tables, stable, *stack.pop())
+        if node is None:
+            continue
+        inn, ex, plus, minus, branch = node
+        undecided = full & ~(inn | ex)
+        if branch:  # each candidate in, the ones before it excluded
+            while branch:
+                low = branch & -branch
+                push((inn, ex, plus, minus, low))
+                ex |= low
+                branch ^= low
+        elif undecided:  # the undecided argument of most attacks in, or excluded
+            if not hubs:
+                free = [a for a in range(1, tables.n + 1) if not tables.loops >> (a - 1) & 1]
+                free.sort(key=lambda a: -(tables.targets[a] | tables.attackers[a]).bit_count())
+                hubs = [1 << (a - 1) for a in free]
+            hub = next(b for b in hubs if b & undecided)
+            push((inn, ex | hub, plus, minus, 0))
+            push((inn, ex, plus, minus, hub))
+        else:
+            found.append((unpack(inn), inn, plus, minus, 0))
+    found.sort(key=lambda v: (len(v[0]), v[0]))
+    return found
 
 
 def iter_conflict_free(f: Framework) -> Iterator[ArgSet]:
@@ -251,10 +333,6 @@ class Semantics(str, Enum):
     IDEAL = "id"
     SEMI_STABLE = "sst"
     EAGER = "eg"
-
-
-# Tags decided by a word test on each walk node; the rest compare families.
-_CORE = (Semantics.CONFLICT_FREE, Semantics.STABLE, Semantics.ADMISSIBLE, Semantics.COMPLETE)
 
 
 @dataclass(frozen=True)
@@ -381,20 +459,22 @@ def _fixpoint(tables: AttackTables, mask: int, within: int) -> _Node:
 
 
 def _extensions(f: Framework, tag: Semantics) -> Iterable[_Node]:
-    """The walk node of every extension of ``f`` under ``tag``: the walk
-    (looking ahead for st / ad) filtered lazily for cf / st / ad / co, the
-    maximal complete nodes for pr / sst, the defence fixpoint for gr / id /
-    eg."""
+    """The node of every extension of ``f`` under ``tag``: the walk
+    (looking ahead for ad) filtered lazily for cf / ad, the search for st /
+    co, the maximal complete nodes of the walk for pr / sst, the defence
+    fixpoint for gr / id / eg."""
     tables = attack_tables(f)
-    if tag in _CORE:
+    if tag in (Semantics.CONFLICT_FREE, Semantics.ADMISSIBLE):
         return _select(tag, tables, _walk(tables, tag))
+    if tag in (Semantics.STABLE, Semantics.COMPLETE):
+        return _search(tables, tag)
     if tag is Semantics.GROUNDED:
         return [_fixpoint(tables, 0, tables.full)]
 
     by_range = tag in (Semantics.SEMI_STABLE, Semantics.EAGER)
     top = []
     if by_range:  # when a stable extension exists, the semi-stable ones are the stable ones
-        top = list(_select(Semantics.STABLE, tables, _walk(tables, Semantics.STABLE)))
+        top = _extensions(f, Semantics.STABLE)
     if not top:
         complete = list(_select(Semantics.COMPLETE, tables, _walk(tables)))
         top = _maximal(complete, (lambda v: v[1] | v[2]) if by_range else (lambda v: v[1]))
@@ -495,6 +575,8 @@ def query(
     from the admissible walk (every admissible set lies inside a
     preferred one), and every sst / eg question from the stable
     extensions when there are any (then they are the semi-stable ones).
+    The st and co extensions come from a labelling search; pr, id, and
+    sst / eg without a stable extension walk every conflict-free set.
     """
     tag = Semantics(tag)
     if question in _GLOBAL:

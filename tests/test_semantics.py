@@ -40,6 +40,7 @@ from afmat import (
     is_stable,
     iter_conflict_free,
     natural_matrix,
+    oracle,
     oracle_defends,
     oracle_family,
     oracle_grounded_fixpoint,
@@ -51,7 +52,7 @@ from afmat import (
     to_norm_form,
 )
 from afmat.core import _TABLES_CACHED, _verify_norm_form, attack_tables, pack, unpack
-from afmat.semantics import _fixpoint, _maximal, _select, _walk
+from afmat.semantics import _extensions, _fixpoint, _maximal, _search, _select, _walk
 
 ALL_TAGS = list(Semantics)
 
@@ -327,6 +328,18 @@ class TestBeyondOracleBound:
         largest = [s for s in inside if all(set(t) <= set(s) for t in inside)]
         assert extensions(f, tag).ordered() == largest
 
+    @pytest.mark.parametrize("tag, check", [("st", oracle._stable), ("co", oracle._complete)], ids=["st", "co"])
+    @pytest.mark.parametrize("n, p", [(60, 0.1), (80, 0.1), (200, 0.02)])
+    def test_search_answers_pass_literal_clauses(self, n, p, tag, check):
+        # no walk reaches these families; the oracle's own clauses certify
+        # every reported set, though not that none is missing
+        assert not {"_walk", "_search", "_settle"} & set(vars(oracle))
+        f = generate(GeneratorConfig(n=n, p=p, seed=2024))
+        family = extensions(f, tag)
+        assert tag == "st" or len(family) >= 1
+        for s in family:
+            assert check(f, s), s
+
     @pytest.mark.parametrize("n, p", [(60, 0.1), (1000, 0.005)])
     def test_grounded_on_large_frameworks(self, n, p):
         # Far too many conflict-free sets to walk; the fixpoint is polynomial.
@@ -341,23 +354,50 @@ class TestBeyondOracleBound:
 STRESSORS = [
     generate(GeneratorConfig(n=n, p=p, seed=2024)) for n, p in ((22, 0.03), (24, 0.05), (30, 0.08))
 ]
-LOOKAHEAD_TAGS = (Semantics.STABLE, Semantics.ADMISSIBLE)
+# The tags whose engine is not the plain walk: the st / co search and the ad look-ahead walk.
+LOOKAHEAD_TAGS = (Semantics.STABLE, Semantics.ADMISSIBLE, Semantics.COMPLETE)
 # grounded {4}; the stable sets {1, 4} and {2, 4} add undecided arguments below 4
 UNDECIDED_BELOW_GROUNDED = Framework(4, {(1, 2), (2, 1), (4, 3)})
+# ten disjoint 2-cycles: 3^10 = 59 049 complete sets, 1 024 stable ones
+TWO_CYCLES = Framework(20, {(a, a + 1) for a in range(1, 20, 2)} | {(a + 1, a) for a in range(1, 20, 2)})
 
 
 def pruned_and_plain(f, tag):
-    """The sets ``tag`` keeps from the look-ahead walk and from the plain walk."""
+    """The nodes ``tag``'s own engine gives and those the plain walk keeps,
+    without the walk's ``cand``."""
     tables = attack_tables(f)
     return (
-        {v[0] for v in _select(tag, tables, _walk(tables, tag))},
-        {v[0] for v in _select(tag, tables, _walk(tables))},
+        {v[:4] for v in _extensions(f, tag)},
+        {v[:4] for v in _select(tag, tables, _walk(tables))},
     )
 
 
+class TooManyNodes(Exception):
+    """The search visited more labellings than the test allows."""
+
+
+def settled(monkeypatch, tables, tag, most):
+    """What ``_settle`` returns for each labelling the search visits for
+    ``tag``; the search is stopped once it has visited more than ``most``."""
+    settle, seen = semantics._settle, []
+
+    def counted(*labelling):
+        if len(seen) == most + 1:
+            raise TooManyNodes
+        seen.append(settle(*labelling))
+        return seen[-1]
+
+    monkeypatch.setattr(semantics, "_settle", counted)
+    try:
+        _search(tables, tag)
+    except TooManyNodes:
+        pass
+    return seen
+
+
 class TestLookahead:
-    """The st / ad walk drops subtrees that hold no extension; it must keep
-    exactly the extensions the plain walk finds."""
+    """The st / co search and the ad look-ahead walk skip what holds no
+    extension; they must give exactly the extensions the plain walk finds."""
 
     @pytest.mark.parametrize("tag", LOOKAHEAD_TAGS, ids=lambda t: t.value)
     @pytest.mark.parametrize("f", BEYOND_ORACLE + STRESSORS, ids=lambda f: f"n{f.n}")
@@ -375,21 +415,39 @@ class TestLookahead:
             pruned, plain = pruned_and_plain(f, tag)
             assert pruned == plain, tag
 
-    @pytest.mark.parametrize("tag, most", [(Semantics.STABLE, 2_000), (Semantics.ADMISSIBLE, 20_000)])
-    def test_dead_subtrees_are_not_walked(self, tag, most):
-        # 38 admissible sets and no stable one among 26.3M conflict-free
-        # sets. Look-ahead visits 431 nodes for st and 3 428 for ad.
-        tables = attack_tables(generate(GeneratorConfig(n=60, p=0.1, seed=2024)))
-        assert sum(1 for _ in islice(_walk(tables, tag), most + 1)) <= most
+    @pytest.mark.parametrize("tag", [Semantics.STABLE, Semantics.COMPLETE], ids=lambda t: t.value)
+    def test_search_equals_plain_walk_on_disjoint_two_cycles(self, tag):
+        # the search's weak spot: a family of 10^4+ complete sets
+        pruned, plain = pruned_and_plain(TWO_CYCLES, tag)
+        assert pruned == plain
+        assert len(pruned) == (1_024 if tag is Semantics.STABLE else 59_049)
 
-    def test_stable_walk_starts_at_grounded_extension(self):
-        # two stable sets; the walk rooted at the grounded extension visits
-        # 4 nodes, the walk from the empty set does not end within 30 s
+    @pytest.mark.parametrize("tag, most", [(Semantics.STABLE, 2_000), (Semantics.ADMISSIBLE, 20_000)])
+    def test_dead_subtrees_are_not_walked(self, tag, most, monkeypatch):
+        # 38 admissible sets and no stable one among 26.3M conflict-free
+        # sets. The ad look-ahead walk visits 3 428 nodes, the st search
+        # settles 12 labellings.
+        tables = attack_tables(generate(GeneratorConfig(n=60, p=0.1, seed=2024)))
+        if tag is Semantics.STABLE:
+            assert len(settled(monkeypatch, tables, tag, most)) <= most
+        else:
+            assert sum(1 for _ in islice(_walk(tables, tag), most + 1)) <= most
+
+    @pytest.mark.parametrize("n, p, most", [(60, 0.1, 170), (200, 0.02, 1_000)])
+    def test_complete_search_settles_few_labellings(self, n, p, most, monkeypatch):
+        # the walk over every conflict-free set takes 28 s at n=60 and does
+        # not end at n=200; the search settles 142 and 841 labellings
+        tables = attack_tables(generate(GeneratorConfig(n=n, p=p, seed=2024)))
+        assert len(settled(monkeypatch, tables, Semantics.COMPLETE, most)) <= most
+
+    def test_stable_walk_starts_at_grounded_extension(self, monkeypatch):
+        # two stable sets; the search settles 3 labellings, the first one
+        # holding the grounded extension; the walk from the empty set does
+        # not end within 30 s
         f = generate(GeneratorConfig(n=1000, p=0.002, seed=2024))
-        tables = attack_tables(f)
-        nodes = list(islice(_walk(tables, Semantics.STABLE), 51))
+        nodes = settled(monkeypatch, attack_tables(f), Semantics.STABLE, 50)
         assert len(nodes) <= 50
-        assert nodes[0][0] == oracle_grounded_fixpoint(f)
+        assert pack(oracle_grounded_fixpoint(f)) & ~nodes[0][0] == 0
         stable = query(f, "EE", "st")
         assert len(stable) == 2
         for s in map(set, stable):
@@ -574,7 +632,7 @@ ROUTED_TAGS = (Semantics.COMPLETE, Semantics.PREFERRED, Semantics.SEMI_STABLE, S
 
 def plain_family(f, tag):
     """The extensions of a routed tag by no route: co / pr as ``extensions``
-    walks them, sst / eg from the range-maximal nodes of the unpruned
+    builds them, sst / eg from the range-maximal nodes of the unpruned
     complete walk, eg as the fixpoint inside their intersection."""
     if tag in (Semantics.COMPLETE, Semantics.PREFERRED):
         return extensions(f, tag).sets
@@ -610,7 +668,7 @@ class TestRoutes:
         walk = semantics._walk
 
         def pruned_only(tables, tag=None):
-            assert tag in LOOKAHEAD_TAGS, tag
+            assert tag is Semantics.ADMISSIBLE, tag
             return walk(tables, tag)
 
         monkeypatch.setattr(semantics, "_walk", pruned_only)
