@@ -1,15 +1,19 @@
 """Matrix-based computation of extensions for finite argumentation frameworks.
 
 The library represents an argumentation framework as a Boolean attack
-matrix. :mod:`afmat.semantics` enumerates its conflict-free sets in one
-depth-first walk over per-argument compatibility sets and, from the
-same walk, computes the extensions of the standard semantics
-(conflict-free, stable, admissible, complete, preferred, grounded,
-ideal, semi-stable, eager) with :func:`extensions` and answers the
-acceptance questions about them with :func:`query`. A deliberately
-naive brute-force reference implementation is included for differential
-verification, plus TGF/APX file support, a reproducible random generator
-and a command-line front end (``afmat solve | gen | verify``).
+matrix. :mod:`afmat.semantics` computes the extensions of the standard
+semantics (conflict-free, stable, admissible, complete, preferred,
+grounded, ideal, semi-stable, eager) with :func:`extensions` and answers
+the acceptance questions about them with :func:`query`. A labelling
+search finds the stable and complete extensions. One depth-first walk
+over per-argument compatibility sets gives the conflict-free and
+admissible sets, and the complete sets that preferred, ideal,
+semi-stable and eager select from (semi-stable and eager take the
+stable extensions when there are any). Grounded is the least fixpoint
+of the defence function. A deliberately naive brute-force reference
+implementation is included for differential verification, plus TGF/APX
+file support, a reproducible random generator and a command-line front
+end (``afmat solve | gen | verify``).
 """
 
 from .core import (

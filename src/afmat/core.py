@@ -65,7 +65,14 @@ class Framework:
     """A finite argumentation framework: arguments 1..n plus attacks.
 
     ``attacks`` may be given as any iterable of (attacker, target) pairs;
-    it is canonicalised to a frozenset of tuples. Self-attacks are allowed.
+    each pair is checked and the whole canonicalised to a frozenset of
+    tuples. Self-attacks are allowed.
+
+    Producers inside afmat that make the identifiers themselves (the file
+    readers, :func:`~afmat.generator.generate` and :func:`relabel`) hand
+    over a frozenset they already know to be valid through
+    ``Framework._checked``, which skips the per-pair check. The result is
+    equal to, and hashes like, the one the public constructor builds.
     """
 
     n: int
@@ -85,6 +92,15 @@ class Framework:
             if not (1 <= a <= n and 1 <= b <= n):
                 raise ValueError(f"attack ({a}, {b}) outside 1..{n}")
         object.__setattr__(self, "attacks", frozenset(pairs))
+
+    @classmethod
+    def _checked(cls, n: int, attacks: frozenset[Attack]) -> "Framework":
+        """A framework from a frozenset of integer pairs already known to
+        lie in 1..n, stored as it is: no per-pair check, no copy."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "n", n)
+        object.__setattr__(f, "attacks", attacks)
+        return f
 
     @property
     def arguments(self) -> range:
@@ -223,7 +239,8 @@ def check_permutation(permutation: Iterable[int], n: int) -> tuple[int, ...]:
     perm = tuple(permutation)
     if len(perm) != n:
         raise MalformedPermutationError(f"expected {n} labels, got {len(perm)}")
-    if sorted(perm) != list(range(1, n + 1)):
+    # 2.0 == 2 in the comparison below, but is no argument identifier
+    if sorted(perm) != list(range(1, n + 1)) or not all(isinstance(x, int) for x in perm):
         raise MalformedPermutationError(f"labels {perm!r} are not a permutation of 1..{n}")
     return perm
 
@@ -430,4 +447,4 @@ def _verify_norm_form(nf: NormForm) -> None:
 def relabel(f: Framework, permutation: Iterable[int]) -> Framework:
     """Rename argument i to ``permutation[i-1]`` throughout the framework."""
     perm = check_permutation(permutation, f.n)
-    return Framework(f.n, {(perm[a - 1], perm[b - 1]) for a, b in f.attacks})
+    return Framework._checked(f.n, frozenset([(perm[a - 1], perm[b - 1]) for a, b in f.attacks]))

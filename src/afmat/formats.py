@@ -29,9 +29,11 @@ an error, wherever it appears in the file.
 
 Each reader collects the attack pairs in one pass (one comprehension
 over the TGF attack lines, one ``finditer`` over the APX facts) and
-hands them to :class:`~afmat.core.Framework`, which checks each pair
-once and builds the attack set. Only when that pass fails does the TGF
-reader scan the attack lines again, to report the first bad one.
+builds the attack set once. Its identifiers come from the reader's own
+name index, so they lie in 1..n by construction, and the set goes to
+:class:`~afmat.core.Framework` as already checked: no pair is checked
+again. Only when that pass fails does the TGF reader scan the attack
+lines again, to report the first bad one.
 
 The writers emit canonical files (declarations in identifier order,
 attacks sorted) so that parse -> format -> parse is the identity.
@@ -107,7 +109,7 @@ def parse_tgf(text: str) -> tuple[Framework, NameMap]:
 
     body = lines[separator:]
     try:
-        attacks = [(index[t[0]], index[t[1]]) for t in map(str.split, body) if t]
+        attacks = frozenset([(index[t[0]], index[t[1]]) for t in map(str.split, body) if t])
     except (KeyError, IndexError):
         for ln, raw in enumerate(body, start=separator + 1):
             tokens = raw.split()
@@ -117,7 +119,7 @@ def parse_tgf(text: str) -> tuple[Framework, NameMap]:
                 if name not in index:
                     raise ParseError(f"line {ln}: attack references undeclared argument {name!r}") from None
         raise
-    return Framework(len(names), attacks), NameMap(tuple(names))
+    return Framework._checked(len(names), attacks), NameMap(tuple(names))
 
 
 def parse_apx(text: str) -> tuple[Framework, NameMap]:
@@ -147,10 +149,10 @@ def parse_apx(text: str) -> tuple[Framework, NameMap]:
         raise ParseError(f"malformed fact near {rest[:30].rstrip()!r}")
 
     try:
-        attacks = [(index[src], index[dst]) for src, dst in attack_facts]
+        attacks = frozenset([(index[src], index[dst]) for src, dst in attack_facts])
     except KeyError as exc:
         raise ParseError(f"attack references undeclared argument {exc.args[0]!r}") from None
-    return Framework(len(names), attacks), NameMap(tuple(names))
+    return Framework._checked(len(names), attacks), NameMap(tuple(names))
 
 
 def _tgf_safe(name: str) -> str:

@@ -41,4 +41,4 @@ def generate(cfg: GeneratorConfig) -> Framework:
         for j in range(1, cfg.n + 1)
         if rng.random() < cfg.p
     ]
-    return Framework(cfg.n, attacks)
+    return Framework._checked(cfg.n, frozenset(attacks))

@@ -4,8 +4,9 @@ Holds the small hand-checked frameworks the unit tests revolve around,
 a hypothesis strategy for arbitrary small frameworks,
 naive grid-walking reference implementations of the sub-block criteria
 (independent of the packed-word path in the library), a line-by-line
-reference TGF reader, and the seeded corpus builder used by the
-differential and acceptance tests.
+reference TGF reader, a check that a framework built without the
+per-pair check is the one the public constructor builds, and the seeded
+corpus builder used by the differential and acceptance tests.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from itertools import chain, combinations
 from hypothesis import strategies as st
 
 from afmat import Framework, GeneratorConfig, NameMap, ParseError, SubBlocks, generate
-from afmat.core import ArgSet, Grid
+from afmat.core import ArgSet, Grid, attack_tables
 
 # 3-cycle: no stable extension, grounded/ideal/eager all empty-set.
 CYCLE3 = Framework(3, {(1, 2), (2, 3), (3, 1)})
@@ -149,6 +150,16 @@ def reference_parse_tgf(text: str) -> tuple[Framework, NameMap]:
         except KeyError as exc:
             raise ParseError(f"line {ln}: attack references undeclared argument {exc.args[0]!r}") from None
     return Framework(len(names), attacks), NameMap(tuple(names))
+
+
+def assert_as_if_public(f: Framework) -> None:
+    """``f`` is equal to, hashes like and shares the attack-table cache
+    entry of the framework the public constructor builds from its pairs."""
+    assert type(f.attacks) is frozenset
+    assert all(type(pair) is tuple for pair in f.attacks)
+    public = Framework(f.n, list(f.attacks))
+    assert f == public and hash(f) == hash(public)
+    assert attack_tables(f) is attack_tables(public)
 
 
 # The acceptance corpus: CORPUS_COUNT frameworks per (n, p) cell.

@@ -5,12 +5,13 @@ from __future__ import annotations
 from itertools import permutations
 
 import pytest
-from helpers import AF5A, AF5D, CYCLE3, assemble, make_corpus
+from helpers import AF5A, AF5D, CYCLE3, assemble, assert_as_if_public, make_corpus
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from afmat import (
     Framework,
+    GeneratorConfig,
     MalformedPermutationError,
     PreconditionError,
     argset,
@@ -18,6 +19,7 @@ from afmat import (
     check_permutation,
     dual_interchange,
     extract_subblocks,
+    generate,
     natural_matrix,
     relabel,
     to_norm_form,
@@ -108,7 +110,7 @@ class TestBuildMatrix:
 
     @pytest.mark.parametrize(
         "perm",
-        [(1, 2), (1, 2, 3, 4), (1, 1, 3), (0, 1, 2), (2, 3, 4)],
+        [(1, 2), (1, 2, 3, 4), (1, 1, 3), (0, 1, 2), (2, 3, 4), (1.0, 2, 3), (1, 2, 3.0)],
     )
     def test_malformed_permutations(self, perm):
         with pytest.raises(MalformedPermutationError):
@@ -329,6 +331,40 @@ def test_relabel_roundtrip():
     assert relabel(f, (2, 3, 1, 5, 4)) == AF5A
     with pytest.raises(MalformedPermutationError):
         relabel(AF5A, (1, 2, 3))
+    # 1.0 == 1, but would become an endpoint no public Framework accepts
+    with pytest.raises(MalformedPermutationError):
+        relabel(AF5A, (3.0, 1, 2, 5, 4))
+
+
+class TestCheckedProducers:
+    """generate and relabel make their identifiers themselves and hand
+    Framework a checked attack set: the framework the public constructor
+    builds, with no pair checked again."""
+
+    def test_corpus(self, small_corpus):
+        for f in small_corpus:
+            assert_as_if_public(f)
+            g = relabel(f, reversed(f.arguments))
+            assert_as_if_public(g)
+            assert g == Framework(f.n, {(f.n + 1 - a, f.n + 1 - b) for a, b in f.attacks})
+
+    def test_dense_and_edge_frameworks(self):
+        # the size of the slowest files-cli call; no attacks; every pair a
+        # self-attack or both directions
+        for cfg in [GeneratorConfig(n=150, p=0.8, seed=1), GeneratorConfig(n=5, p=0.0, seed=1),
+                    GeneratorConfig(n=5, p=1.0, seed=1), GeneratorConfig(n=0, p=0.5, seed=1)]:
+            f = generate(cfg)
+            assert_as_if_public(f)
+            assert_as_if_public(relabel(f, range(f.n, 0, -1)))
+
+    def test_producers_check_no_pair(self, pair_checks):
+        f = generate(GeneratorConfig(n=40, p=0.5, seed=3))
+        relabel(f, range(40, 0, -1))
+        relabel(AF5D, (5, 4, 3, 2, 1))
+        assert pair_checks == []
+        # the matrix labels come from a public dataclass: checked
+        natural_matrix(AF5D).to_framework()
+        assert pair_checks == [5]
 
 
 @given(st.frozensets(st.integers(1, 1000)))

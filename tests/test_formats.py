@@ -3,16 +3,18 @@
 from __future__ import annotations
 
 import pytest
-from helpers import CYCLE3, reference_parse_tgf
+from helpers import CYCLE3, assert_as_if_public, reference_parse_tgf
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from afmat import (
     Framework,
+    GeneratorConfig,
     NameMap,
     ParseError,
     format_apx,
     format_tgf,
+    generate,
     parse_apx,
     parse_tgf,
 )
@@ -258,6 +260,56 @@ class TestWriters:
     def test_both_formats_carry_the_same_framework(self, fn):
         f, nm = fn
         assert parse_apx(format_apx(f, nm)) == parse_tgf(format_tgf(f, nm))
+
+
+# Texts whose attack set is empty, holds self-attacks or repeats a pair,
+# as TGF and APX, with the framework each carries.
+EDGE_TEXTS = {
+    "no_attacks": ("a\nb\n#\n", "arg(a). arg(b).", Framework(2)),
+    "no_arguments": ("#\n", "", Framework(0)),
+    "self_attacks": ("a\nb\n#\na a\na b\nb b\n", "arg(a). arg(b). att(a,a). att(a,b). att(b,b).",
+                     Framework(2, {(1, 1), (1, 2), (2, 2)})),
+    "duplicates": ("a\nb\n#\na b\nb a\na b x\n\na b\n", "arg(a). arg(b). att(a,b). att(b,a). att(a,b).",
+                   Framework(2, {(1, 2), (2, 1)})),
+}
+
+
+class TestCheckedHandoff:
+    """The readers hand Framework the attack set they built from their own
+    name index; it is the framework the public constructor builds, and no
+    pair is checked again."""
+
+    @pytest.mark.parametrize("case", EDGE_TEXTS, ids=str)
+    def test_edge_texts(self, case):
+        tgf, apx, expected = EDGE_TEXTS[case]
+        for f in (parse_tgf(tgf)[0], parse_apx(apx)[0]):
+            assert f == expected
+            assert_as_if_public(f)
+
+    def test_corpus(self, small_corpus):
+        for g in small_corpus:
+            for f in (parse_tgf(format_tgf(g))[0], parse_apx(format_apx(g))[0]):
+                assert f == g
+                assert_as_if_public(f)
+
+    @pytest.mark.parametrize("fmt", ["tgf", "apx"])
+    def test_dense_framework(self, fmt):
+        # the size of the slowest files-cli call: n=150, p=0.8
+        g = generate(GeneratorConfig(n=150, p=0.8, seed=1))
+        f, _ = parse(format_tgf(g) if fmt == "tgf" else format_apx(g), fmt)
+        assert len(f.attacks) > 17_000
+        assert f == g
+        assert_as_if_public(f)
+
+    def test_readers_check_no_pair(self, pair_checks):
+        for text in [TGF_CYCLE, *(t for t, _, _ in EDGE_TEXTS.values())]:
+            parse_tgf(text)
+        for text in [APX_CYCLE, *(a for _, a, _ in EDGE_TEXTS.values())]:
+            parse_apx(text)
+        assert pair_checks == []
+        # the spy sees the public constructor
+        Framework(2, [(1, 2)])
+        assert pair_checks == [2]
 
 
 def test_detect_format():

@@ -682,6 +682,20 @@ class TestRoutes:
         assert query(f, "DC", "pr", 2) is True
         assert query(f, "AC", "pr", 2) is False
 
+    def test_co_some_questions_start_no_search(self, monkeypatch):
+        # 59 049 complete sets: the co search lists them all (about 0.35 s),
+        # the admissible walk stops at its first witness
+        def no_search(tables, tag):
+            raise AssertionError(f"{tag.value} search started")
+
+        monkeypatch.setattr(semantics, "_search", no_search)
+        assert query(TWO_CYCLES, "exists", "co") is True
+        for a in (1, 20):
+            assert query(TWO_CYCLES, "DC", "co", a) is True
+            assert query(TWO_CYCLES, "AC", "co", a) is True
+        assert query(TWO_CYCLES, "DC", "co", (1, 2)) is False
+        assert query(TWO_CYCLES, "AC", "co", (1, 3)) is True
+
 
 @pytest.mark.parametrize("k, q, message", [
     (2, 0, "top-left region is not zero"),  # 1 attacks 2, both members
