@@ -1,150 +1,96 @@
 """Conflict-free sets and extension semantics, decided on the attack matrix.
 
-A set is conflict-free when its inner sub-block is all zero, i.e. no
-member attacks a member (self-attacks included). For each argument i
-that does not attack itself, its compatibility set C(i)
-(:func:`basic_sets`) collects the arguments j != i with no attack in
-either direction between i and j and no self-attack on j. Note the
-conjunctive reading of compatibility: *both* directions between i and j
-must be attack-free, otherwise {i, j} would not be conflict-free in the
-first place. Self-attackers have no compatibility set and appear in no
-enumerated set. The attack tables (:func:`afmat.core.attack_tables`)
-build C(i) once per framework, as the word ``above[i]`` of its members
-above i; compatibility is symmetric, so :func:`basic_sets` reads the
-part below i off the same words.
+A set is conflict-free when its inner sub-block is all zero: no member
+attacks a member, itself included. The compatibility set C(i) of an
+argument i that does not attack itself (:func:`basic_sets`) holds every
+j != i with no attack in either direction between i and j and no
+self-attack on j. The reading is conjunctive: an attack either way keeps
+{i, j} from being conflict-free. Self-attackers have no compatibility
+set and lie in no conflict-free set. The attack tables
+(:func:`afmat.core.attack_tables`) hold the matrix as words: the row
+``targets[i]``, the column ``attackers[i]``, and C(i) above i as
+``above[i]``.
 
-Every family is read off one of two engines. The first is a depth-first
-walk over these words, ``_walk``. Each node ``(set, mask, plus, minus,
-cand)`` carries the set S, the bitmask of S, ``plus`` (the OR of the
-members' rows: everything S attacks), ``minus`` (the OR of their
-columns: everything that attacks S) and ``cand``: the arguments above
-max(S) compatible with every member. The child for i in ``cand`` gets
-``cand & above[i]`` and ORs the attack rows of i into ``plus`` and
-``minus``. Every child is conflict-free by construction, and the stack
-never holds more than O(n^2) nodes. Children are pushed highest first,
-so the walk pops sets in lexicographic preorder, and the sets of one
-size among them in lexicographic order. Every family the
-walk gives leaves ``_extensions`` in that order (``_select`` filters the
-walk lazily, ``_maximal`` keeps its input order, a fixpoint is one
-node), so a stable sort by size alone gives the public order (by
-cardinality, then lexicographic).
-
-The unpruned walk (cf, and the complete nodes pr / id read) reaches
-every conflict-free set exactly once. For ad the walk looks ahead: the
-sets below a node are S plus some of ``cand``, so everything they can
-attack lies in ``reach = plus | OR(targets[i] for i in cand)``, one pass
-over ``cand``. When ``minus & ~reach != 0``, some attacker of S is
-attacked by no set below, so none of them is admissible, and the node is
-dropped with its whole subtree. This changes only how many nodes are
-visited, not which extensions are found.
-
-The second engine, ``_search``, finds the stable and complete
-extensions by a labelling search (Modgil & Caminada 2009; Nofal,
-Atkinson & Dunne, AIJ 207, 2014). A labelling puts arguments in
-(``inn``, with its ``plus`` and ``minus``) or excludes them for good
-(``ex``, the self-attackers from the start). Putting a in fails if a is
-excluded; otherwise everything a attacks or is attacked by is excluded.
-``_settle`` then forces the labels that follow, until none does:
-
-* st -- an undecided argument whose attackers are all excluded must be
-  in; an excluded argument outside ``plus`` needs an undecided attacker:
-  with none the labelling fails, with one that attacker goes in.
-* co -- an argument outside ``inn | plus`` whose attackers all lie in
-  ``plus`` is defended, so it must be in (it fails if excluded); an
-  attacker of ``inn`` outside ``plus`` needs an undecided attacker, as
-  above.
-
-The search starts by putting the unattacked arguments in, and the co
-rule for defended arguments is Dung's defence function, so its first
-labelling settles at the grounded extension G, and for st on a superset
-of it. A settled labelling branches on the open constraint with the
-fewest candidates, each candidate going in with the ones before it
-excluded; with none open, on the undecided argument of highest in+out
-degree, in and then excluded. With no undecided argument left, ``inn``
-meets every rule, so it is stable / complete. The branches share no
-labelling, so each extension is found once, but not in preorder:
-``_search`` sorts its nodes by the full (cardinality, set) key. The
-defended scan and the branching skip the self-attackers, which are
-excluded from the start and never defended. The search needs few
-labellings where the walk would visit millions of sets; it is slower
-than the walk on a family of 10^4 or more complete sets.
-
-With ``full`` the word of all arguments, the core criteria are tests on
-the words of a node:
+A set S is handled as a node ``(set, mask, plus, minus, cand)``: its
+members, their word, ``plus`` (the OR of their rows: everything S
+attacks), ``minus`` (the OR of their columns: everything that attacks S)
+and the walk's ``cand`` (0 elsewhere). With ``full`` the word of all
+arguments, the core criteria are word tests:
 
 * stable      -- ``mask | plus == full``: S attacks every outsider.
 * admissible  -- ``minus & ~plus == 0``: S attacks each of its attackers.
 * complete    -- admissible, and every j in ``full & ~(mask | plus)``
-                 has ``attackers[j] & ~plus != 0``: no outsider that S
-                 leaves unattacked is defended by S.
+                 has ``attackers[j] & ~plus != 0``: S defends no outsider
+                 it leaves unattacked.
 * range       -- ``mask | plus``.
-
-:func:`is_stable`, :func:`is_admissible`, :func:`is_complete` and
-:func:`range_of` apply the same tests to a node whose words are OR-ed
-from a candidate's members (``_node``).
 
 These are the paper's block tests on the natural matrix
 (:func:`afmat.core.extract_subblocks`) read a word at a time: ``plus``
-restricted to the outsiders marks the non-zero columns of the outgoing
-block, and ``minus`` the non-zero rows of the incoming block. Stable
-says every outgoing column is non-zero; admissible says every non-zero
-incoming row is matched by a non-zero outgoing column for the same
-outsider; complete says every outsider with a zero outgoing column has
-an attacker whose own outgoing column is zero too. The norm-form
-reading of the same verdicts lives in :mod:`afmat.core`.
+on the outsiders marks the non-zero columns of the outgoing block, and
+``minus`` the non-zero rows of the incoming block. The norm-form reading
+of the same verdicts lives in :mod:`afmat.core`. :func:`is_stable`,
+:func:`is_admissible`, :func:`is_complete` and :func:`range_of` apply
+the tests to a node OR-ed from a candidate's members (``_node``).
 
-Preferred and semi-stable compare the complete nodes of the walk with
-one keyed maximality, ``_maximal``: preferred keeps the complete sets
-whose mask is inclusion-maximal (Dung, AIJ 77, 1995), semi-stable those
-whose range ``mask | plus`` is (Caminada, COMMA 2006). Every admissible
-set lies inside a complete one whose range covers its own, so this
-equals the maximal admissible sets and the admissible sets of maximal
-range. When a stable extension exists, the semi-stable extensions are
-exactly the stable ones (Caminada, COMMA 2006): a stable set's range is
-every argument, so no other range can be maximal. So sst / eg take the
-stable extensions first and read the complete nodes only when there are
-none. Grounded, ideal and eager come from ``_fixpoint``, which iterates
-Dung's defence function (a set defends every argument whose attackers
-it all attacks) on the words: each round ORs the rows of the set's bits
-into ``plus`` and keeps the bits j of its bound ``within`` with
-``attackers[j] & ~plus == 0``. Grounded is its least fixed point,
-reached from the empty set; it equals the paper's least complete set.
-Ideal / eager is the largest admissible set inside the fence, the
-intersection of all preferred / all semi-stable extensions: the fence
-is conflict-free, so iterating from it inside it falls to that set.
-Each is unique by construction.
+Two engines give every family; ``_extensions`` yields its nodes.
 
-Every extension of every tag comes from one place, ``_extensions``: it
-yields the node of each extension. For cf / ad that is the walk,
-looking ahead for ad, filtered lazily by the word test; for st / co the
-search's nodes; for pr / sst the maximal complete nodes of the walk (for
-sst the stable nodes, if there are any), and for gr / id / eg the node
-the fixpoint ends on. :func:`extensions` collects the sets, and
-:func:`query` answers each catalogue question from a table entry of two
-parts: a word test on a node against the target mask t
-(contains the target, ``t & ~mask == 0``, or attacks it,
-``plus & t != 0``) and a summary of the nodes (some, all, the first, or
-the ordered list of those that pass). On a core tag, some / all stop at
-the first witness or counterexample.
+* The walk, ``_walk``, gives cf and ad. Each node's ``cand`` holds the
+  arguments above max(S) compatible with every member; the child for i
+  in ``cand`` gets ``cand & above[i]`` and ORs in the rows of i. Every
+  node is conflict-free, each set is reached once, and children are
+  pushed highest first, so sets pop in lexicographic preorder and a
+  stable sort by size gives the public order (by cardinality, then
+  lexicographic). For ad the walk looks ahead: everything the sets below
+  a node can attack lies in ``reach = plus | OR(targets[i] for i in
+  cand)``, so a node with ``minus & ~reach != 0`` is dropped with its
+  subtree.
+* The search, ``_search``, gives st and co by labelling (Modgil &
+  Caminada 2009; Nofal, Atkinson & Dunne, AIJ 207, 2014). An argument is
+  put in (``inn``, with ``plus`` and ``minus``) or excluded for good
+  (``ex``, the self-attackers from the start); putting a in fails if a is
+  excluded, and excludes everything a attacks or is attacked by.
+  ``_settle`` forces the labels that follow. st: an undecided argument
+  whose attackers are all excluded must be in, and an excluded one
+  outside ``plus`` needs an undecided attacker. co: an argument outside
+  ``inn | plus`` whose attackers all lie in ``plus`` is defended and must
+  be in, and an attacker of ``inn`` outside ``plus`` needs an undecided
+  attacker. A needed attacker with no candidate fails the labelling; one
+  candidate goes in. The search starts with the unattacked arguments in,
+  so co's first labelling settles at the grounded extension G. It
+  branches on the open constraint with the fewest candidates (each in,
+  the ones before it excluded), else on the undecided argument of most
+  attacks (in, then excluded), and keeps each full labelling, sorted by
+  (cardinality, set). It needs few labellings where the walk would visit
+  millions of sets, but is slower than the walk on 10^4 or more
+  complete sets.
 
-Both tests are monotone: a superset of a passing set passes. So some
-(tag, summary) pairs take a route in ``_ROUTES`` that reads fewer nodes
-than the tag's extensions and gives the same answer:
+The other tags read these. Preferred and semi-stable keep the complete
+nodes of the unpruned walk whose mask (Dung, AIJ 77, 1995) or range
+(Caminada, COMMA 2006) is inclusion-maximal, by ``_maximal``; when a
+stable extension exists, the semi-stable ones are the stable ones.
+Grounded, ideal and eager come from ``_fixpoint``, which iterates Dung's
+defence function on the words: grounded from the empty set, ideal /
+eager from the intersection of the preferred / semi-stable extensions,
+inside it.
 
-* co, all (DS, AS) -- the grounded node alone. It is the least complete
-  extension (Dung 1995), so every complete extension passes iff it does.
-* co, first (SE, SE-containing, SE-attacking) -- the grounded node if it
-  passes, since every other complete extension strictly contains it;
-  else the complete search.
-* co / pr, some (exists, DC, AC) -- the pruned ad walk, stopping at the
-  first witness. Every admissible set lies inside a preferred one, and
-  every preferred extension is complete.
+:func:`query` answers each catalogue question with a word test on a
+node against the target mask t (contains it, ``t & ~mask == 0``, or
+attacks it, ``plus & t != 0``) and a summary of the nodes: some, every,
+the first, or the ordered list of those that pass. Both tests are
+monotone: a superset of a passing set passes. G is complete and lies
+inside every complete extension, every complete extension lies inside a
+preferred one, and every preferred extension is complete. So one route
+rule, ``_ROUTES``, answers co and pr from the grounded node first:
 
-Every other pr question, every id question, and sst / eg when no stable
-extension exists still walk every conflict-free set.
+* co, every (DS, AS) -- G alone.
+* co, some and first (exists, DC, AC, SE, SE-containing, SE-attacking),
+  and pr, some (exists, DC, AC) -- G if it passes, else the complete
+  search. No other complete extension is as small as G.
 
-Families and answers are deterministic: sets are ordered by cardinality
-and then lexicographically.
+Every other question reads the tag's own family. For pr, id, and sst /
+eg without a stable extension, that still walks every conflict-free
+set. Families and answers are deterministic: sets are ordered by
+cardinality and then lexicographically.
 """
 
 from __future__ import annotations
@@ -177,23 +123,13 @@ def is_conflict_free(f: Framework, candidate: Iterable[int]) -> bool:
 
 
 def basic_sets(f: Framework) -> dict[int, frozenset[int]]:
-    """Compatibility set C(i) for every argument i without a self-attack.
-
-    The attack tables keep C(i) above i; compatibility is symmetric, so the
-    part below i is every j < i whose word above holds i.
-    """
+    """Compatibility set C(i) for every argument i without a self-attack."""
     tables = attack_tables(f)
-    comp = list(tables.above)
-    for j in range(1, f.n + 1):
-        rest = tables.above[j]
-        while rest:
-            low = rest & -rest
-            comp[low.bit_length()] |= 1 << (j - 1)
-            rest ^= low
+    free = tables.full & ~tables.loops
     return {
-        i: frozenset(unpack(comp[i]))
+        i: frozenset(unpack(free & ~(tables.targets[i] | tables.attackers[i] | 1 << (i - 1))))
         for i in range(1, f.n + 1)
-        if not (tables.loops >> (i - 1)) & 1
+        if free >> (i - 1) & 1
     }
 
 
@@ -318,7 +254,7 @@ def iter_conflict_free(f: Framework) -> Iterator[ArgSet]:
 
     The whole family is held in memory before the first set is yielded.
     """
-    yield from sorted((node[0] for node in _walk(attack_tables(f))), key=len)
+    yield from sorted((v[0] for v in _extensions(f, Semantics.CONFLICT_FREE)), key=len)
 
 
 class Semantics(str, Enum):
@@ -459,10 +395,8 @@ def _fixpoint(tables: AttackTables, mask: int, within: int) -> _Node:
 
 
 def _extensions(f: Framework, tag: Semantics) -> Iterable[_Node]:
-    """The node of every extension of ``f`` under ``tag``: the walk
-    (looking ahead for ad) filtered lazily for cf / ad, the search for st /
-    co, the maximal complete nodes of the walk for pr / sst, the defence
-    fixpoint for gr / id / eg."""
+    """The node of every extension of ``f`` under ``tag``, from the engine
+    the module docstring names for the tag."""
     tables = attack_tables(f)
     if tag in (Semantics.CONFLICT_FREE, Semantics.ADMISSIBLE):
         return _select(tag, tables, _walk(tables, tag))
@@ -534,8 +468,8 @@ _GLOBAL = {"exists": "DC", "SE": "SE-containing", "EE": "EE-containing"}
 
 def _grounded_first(f: Framework, hit: Callable[[_Node], bool]) -> Iterable[_Node]:
     """The grounded node if it passes, else every complete node: the grounded
-    extension lies strictly inside every other complete one, so no other
-    passing extension is as small."""
+    extension is complete and lies strictly inside every other complete one,
+    so when it passes it is a witness, and no other passing one is as small."""
     grounded = _extensions(f, Semantics.GROUNDED)
     return grounded if hit(grounded[0]) else _extensions(f, Semantics.COMPLETE)
 
@@ -546,9 +480,9 @@ _ROUTES = {
     # the grounded extension is the least complete one
     (Semantics.COMPLETE, _every): lambda f, hit: _extensions(f, Semantics.GROUNDED),
     (Semantics.COMPLETE, _first): _grounded_first,
-    # every admissible set lies inside a preferred, hence complete, one
-    (Semantics.COMPLETE, _some): lambda f, hit: _extensions(f, Semantics.ADMISSIBLE),
-    (Semantics.PREFERRED, _some): lambda f, hit: _extensions(f, Semantics.ADMISSIBLE),
+    (Semantics.COMPLETE, _some): _grounded_first,
+    # every complete extension lies inside a preferred one, which is complete
+    (Semantics.PREFERRED, _some): _grounded_first,
 }
 
 
@@ -569,14 +503,9 @@ def query(
     quantified answers are vacuously true for an empty family. A target
     given with a global question is ignored.
 
-    The answers are those over the whole family, but some come by a
-    shorter route: DS / AS and a passing SE on co from the grounded
-    extension (the least complete one), exists / DC / AC on co and pr
-    from the admissible walk (every admissible set lies inside a
-    preferred one), and every sst / eg question from the stable
-    extensions when there are any (then they are the semi-stable ones).
-    The st and co extensions come from a labelling search; pr, id, and
-    sst / eg without a stable extension walk every conflict-free set.
+    The answers are those over the whole family. co and pr questions
+    take the module docstring's route rule: the grounded extension, then
+    the complete search.
     """
     tag = Semantics(tag)
     if question in _GLOBAL:

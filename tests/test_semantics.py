@@ -646,10 +646,26 @@ def plain_family(f, tag):
     return {_fixpoint(tables, fence, fence)[0]}
 
 
+def no_walk(tables, tag=None):
+    raise AssertionError(f"walk started for {tag}")
+
+
+def check_some_questions(f, complete, contained, attacked):
+    """co / pr exists, DC and AC against set logic over ``complete``, the
+    complete family: some preferred extension passes iff a complete one does."""
+    for tag in ("co", "pr"):
+        assert query(f, "exists", tag) is bool(complete)
+    for q, targets in (("DC", contained), ("AC", attacked)):
+        for target in targets:
+            expected = catalogue_by_sets(f, complete, (target,) if isinstance(target, int) else target)[q]
+            for tag in ("co", "pr"):
+                assert query(f, q, tag, target) is expected, (tag, q, target)
+
+
 class TestRoutes:
-    """co / pr / sst / eg questions go through the grounded node, the
-    admissible walk or the stable walk; the answers must equal set logic
-    over the family no route built."""
+    """co / pr questions go through the grounded node before the complete
+    search, sst / eg through the stable search; the answers must equal set
+    logic over the family no route built."""
 
     @pytest.mark.parametrize("tag", ROUTED_TAGS, ids=lambda t: t.value)
     @pytest.mark.parametrize("f", BEYOND_ORACLE, ids=lambda f: f"n{f.n}")
@@ -665,13 +681,7 @@ class TestRoutes:
         # one stable set; the unpruned walk over every conflict-free set
         # would not end here
         f = generate(GeneratorConfig(n=80, p=0.1, seed=2024))
-        walk = semantics._walk
-
-        def pruned_only(tables, tag=None):
-            assert tag is Semantics.ADMISSIBLE, tag
-            return walk(tables, tag)
-
-        monkeypatch.setattr(semantics, "_walk", pruned_only)
+        monkeypatch.setattr(semantics, "_walk", no_walk)
         stable = query(f, "EE", "st")
         assert len(stable) == 1
         assert query(f, "EE", "sst") == stable
@@ -682,19 +692,20 @@ class TestRoutes:
         assert query(f, "DC", "pr", 2) is True
         assert query(f, "AC", "pr", 2) is False
 
-    def test_co_some_questions_start_no_search(self, monkeypatch):
-        # 59 049 complete sets: the co search lists them all (about 0.35 s),
-        # the admissible walk stops at its first witness
-        def no_search(tables, tag):
-            raise AssertionError(f"{tag.value} search started")
+    def test_some_questions_on_two_cycles(self):
+        # 59 049 complete sets and G = {}: exists stops at G, DC and AC list
+        # every complete set
+        check_some_questions(TWO_CYCLES, extensions(TWO_CYCLES, "co").sets, [1, 20, (1, 2)], [1, 20, (1, 3)])
 
-        monkeypatch.setattr(semantics, "_search", no_search)
-        assert query(TWO_CYCLES, "exists", "co") is True
-        for a in (1, 20):
-            assert query(TWO_CYCLES, "DC", "co", a) is True
-            assert query(TWO_CYCLES, "AC", "co", a) is True
-        assert query(TWO_CYCLES, "DC", "co", (1, 2)) is False
-        assert query(TWO_CYCLES, "AC", "co", (1, 3)) is True
+    @pytest.mark.parametrize("n, p", [(200, 0.02), (300, 0.01)])
+    def test_some_questions_start_no_walk(self, n, p, monkeypatch):
+        # the admissible walk would not answer here within 20 s; the complete
+        # search answers in about 50 ms
+        f = generate(GeneratorConfig(n=n, p=p, seed=2024))
+        complete = extensions(f, "co").sets
+        targets = [1, 2, n, *min(complete, key=len)[:1]]
+        monkeypatch.setattr(semantics, "_walk", no_walk)
+        check_some_questions(f, complete, targets, targets)
 
 
 @pytest.mark.parametrize("k, q, message", [
