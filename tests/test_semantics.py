@@ -17,6 +17,7 @@ from helpers import (
     admissible_by_blocks,
     complete_by_blocks,
     frameworks,
+    powerset,
     stable_by_blocks,
 )
 from hypothesis import example, given, settings
@@ -340,7 +341,7 @@ class TestBeyondOracleBound:
         for s in family:
             assert check(f, s), s
 
-    @pytest.mark.parametrize("n, p", [(60, 0.1), (1000, 0.005)])
+    @pytest.mark.parametrize("n, p", [(60, 0.1), (1000, 0.005), (1000, 0.002)])
     def test_grounded_on_large_frameworks(self, n, p):
         # Far too many conflict-free sets to walk; the fixpoint is polynomial.
         f = generate(GeneratorConfig(n=n, p=p, seed=2024))
@@ -415,6 +416,21 @@ class TestLookahead:
             pruned, plain = pruned_and_plain(f, tag)
             assert pruned == plain, tag
 
+    @pytest.mark.parametrize("f", BEYOND_ORACLE + STRESSORS, ids=lambda f: f"n{f.n}")
+    def test_first_complete_labelling_is_grounded_extension(self, f, monkeypatch):
+        # gr is this labelling, and co's routes read it first
+        first = settled(monkeypatch, attack_tables(f), Semantics.COMPLETE, 0)
+        assert first[0][0] == pack(oracle_grounded_fixpoint(f))
+
+    @given(frameworks(max_n=8))
+    @example(Framework(2, {(1, 1)}))
+    @example(Framework(3, {(1, 1), (2, 1), (3, 2)}))
+    @example(UNDECIDED_BELOW_GROUNDED)
+    def test_first_complete_labelling_is_grounded_extension_on_small_frameworks(self, f):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            first = settled(monkeypatch, attack_tables(f), Semantics.COMPLETE, 0)
+        assert first[0][0] == pack(oracle_grounded_fixpoint(f))
+
     @pytest.mark.parametrize("tag", [Semantics.STABLE, Semantics.COMPLETE], ids=lambda t: t.value)
     def test_search_equals_plain_walk_on_disjoint_two_cycles(self, tag):
         # the search's weak spot: a family of 10^4+ complete sets
@@ -440,7 +456,7 @@ class TestLookahead:
         tables = attack_tables(generate(GeneratorConfig(n=n, p=p, seed=2024)))
         assert len(settled(monkeypatch, tables, Semantics.COMPLETE, most)) <= most
 
-    def test_stable_walk_starts_at_grounded_extension(self, monkeypatch):
+    def test_stable_search_starts_at_grounded_extension(self, monkeypatch):
         # two stable sets; the search settles 3 labellings, the first one
         # holding the grounded extension; the walk from the empty set does
         # not end within 30 s
@@ -523,6 +539,18 @@ class TestRangeMaximal:
         chosen = range_maximal(pairs)
         assert time.perf_counter() - start < 5.0
         assert frozenset(map(unpack, chosen)) == extensions(f, "sst").sets
+
+
+@given(frameworks(max_n=5))
+@example(Framework(3, {(1, 2), (2, 3)}))  # {1} defends 3, outside the fence {1}
+def test_fixpoint_is_largest_self_defending_part_of_fence(f):
+    # id / eg pass an intersection of complete sets, which the defence
+    # function never leaves; any fence checks that the scan stays inside it
+    tables = attack_tables(f)
+    for fence in map(set, powerset(f)):
+        inside = [s for s in powerset(f) if set(s) <= fence]
+        parts = [s for s in inside if all(oracle_defends(f, s, a) for a in s)]
+        assert _fixpoint(tables, pack(fence))[0] == tuple(sorted(set().union(*parts)))
 
 
 QUESTIONS = (
@@ -643,7 +671,7 @@ def plain_family(f, tag):
     fence = tables.full
     for v in top:
         fence &= v[1]
-    return {_fixpoint(tables, fence, fence)[0]}
+    return {_fixpoint(tables, fence)[0]}
 
 
 def no_walk(tables, tag=None):
