@@ -114,11 +114,13 @@ def argset(members: Iterable[int]) -> ArgSet:
 
 def checked_argset(f: Framework, members: Iterable[int]) -> ArgSet:
     """Canonicalise ``members`` and verify every one lies in 1..n."""
-    out = argset(members)
-    for a in out:
+    # Each member is checked before duplicates collapse, so that one equal to
+    # an integer but of another type (1.0) cannot hide behind the integer.
+    members = tuple(members)
+    for a in members:
         if not (isinstance(a, int) and 1 <= a <= f.n):
             raise IndexError(f"argument {a!r} outside 1..{f.n}")
-    return out
+    return argset(members)
 
 
 def pack(members: Iterable[int]) -> int:

@@ -62,10 +62,10 @@ Two engines give every family; ``_extensions`` yields its nodes.
   so co's first labelling settles at the grounded extension G. It
   branches on the open constraint with the fewest candidates (each in,
   the ones before it excluded), else on the undecided argument of most
-  attacks (in, then excluded), and keeps each full labelling, sorted by
-  (cardinality, set). It needs few labellings where the walk would visit
-  millions of sets, but is slower than the walk on 10^4 or more
-  complete sets.
+  attacks (in, then excluded), and yields each full labelling as it
+  settles it; ``_extensions`` sorts them by (cardinality, set). It needs
+  few labellings where the walk would visit millions of sets, but is
+  slower than the walk on 10^4 or more complete sets.
 
 The other tags read these. Preferred and semi-stable keep the complete
 nodes of the unpruned walk whose mask (Dung, AIJ 77, 1995) or range
@@ -78,21 +78,22 @@ intersection of the preferred / semi-stable extensions.
 :func:`query` answers each catalogue question with a word test on a
 node against the target mask t (contains it, ``t & ~mask == 0``, or
 attacks it, ``plus & t != 0``) and a summary of the nodes: some, every,
-the first, or the ordered list of those that pass. Both tests are
-monotone: a superset of a passing set passes. G is complete and lies
-inside every complete extension, every complete extension lies inside a
-preferred one, and every preferred extension is complete. So one route
-rule, ``_ROUTES``, answers co and pr from the grounded node first:
+the least in the public order, or the ordered list of those that pass.
+Both tests are monotone: a superset of a passing set passes. G is
+complete and lies inside every complete extension, every complete
+extension lies inside a preferred one, and every preferred extension is
+complete. So one route rule, ``_ROUTES``, answers co and pr from G first:
 
 * co, every (DS, AS) -- G alone.
 * co, some and first (exists, DC, AC, SE, SE-containing, SE-attacking),
-  and pr, some (exists, DC, AC) -- G if it passes, else the complete
-  search. No other complete extension is as small as G.
+  and pr, some (exists, DC, AC) -- G if it passes (no other complete
+  extension is as small), else the complete search, which a
+  some-question leaves at its first witness.
 
 Every other question reads the tag's own family. For pr, id, and sst /
 eg without a stable extension, that still walks every conflict-free
-set. Families and answers are deterministic: sets are ordered by
-cardinality and then lexicographically.
+set. Families and answers are deterministic: sets come in the public
+order, by cardinality and then lexicographically.
 """
 
 from __future__ import annotations
@@ -230,14 +231,12 @@ def _root(tables: AttackTables) -> tuple[int, int, int, int, int]:
     return 0, tables.loops, 0, 0, tables.full & ~_union(tables.targets, tables.full)
 
 
-def _search(tables: AttackTables, tag: Semantics) -> list[_Node]:
+def _search(tables: AttackTables, tag: Semantics) -> Iterator[_Node]:
     """The stable or complete extensions as nodes, by the labelling search
-    the module docstring describes, sorted by cardinality and then
-    lexicographically."""
+    the module docstring describes, each yielded once settled, unsorted."""
     stable = tag is Semantics.STABLE
     full, settle = tables.full, _settle
     hubs: list[int] = []
-    found = []
     stack = [_root(tables)]
     push = stack.append
     while stack:
@@ -261,9 +260,7 @@ def _search(tables: AttackTables, tag: Semantics) -> list[_Node]:
             push((inn, ex | hub, plus, minus, 0))
             push((inn, ex, plus, minus, hub))
         else:
-            found.append((unpack(inn), inn, plus, minus, 0))
-    found.sort(key=lambda v: (len(v[0]), v[0]))
-    return found
+            yield unpack(inn), inn, plus, minus, 0
 
 
 def iter_conflict_free(f: Framework) -> Iterator[ArgSet]:
@@ -398,7 +395,7 @@ def _extensions(f: Framework, tag: Semantics) -> Iterable[_Node]:
     if tag in (Semantics.CONFLICT_FREE, Semantics.ADMISSIBLE):
         return _select(tag, tables, _walk(tables, tag))
     if tag in (Semantics.STABLE, Semantics.COMPLETE):
-        return _search(tables, tag)
+        return sorted(_search(tables, tag), key=lambda v: (len(v[0]), v[0]))
     if tag is Semantics.GROUNDED:
         # the search's root labelling, settled by the complete rules
         inn, _, plus, minus, _ = _settle(tables, False, *_root(tables))
@@ -443,7 +440,8 @@ def _every(nodes: Iterable[_Node], hit: Callable[[_Node], bool]) -> bool:
 
 
 def _first(nodes: Iterable[_Node], hit: Callable[[_Node], bool]) -> ArgSet | None:
-    return min((v[0] for v in nodes if hit(v)), key=len, default=None)
+    """The least passing set by (cardinality, set), whatever the node order."""
+    return min(((len(v[0]), v[0]) for v in nodes if hit(v)), default=(0, None))[1]
 
 
 def _listed(nodes: Iterable[_Node], hit: Callable[[_Node], bool]) -> list[ArgSet]:
@@ -466,11 +464,11 @@ _GLOBAL = {"exists": "DC", "SE": "SE-containing", "EE": "EE-containing"}
 
 
 def _grounded_first(f: Framework, hit: Callable[[_Node], bool]) -> Iterable[_Node]:
-    """The grounded node if it passes, else every complete node: the grounded
-    extension is complete and lies strictly inside every other complete one,
-    so when it passes it is a witness, and no other passing one is as small."""
+    """The grounded node if it passes, else the complete search as it goes:
+    the grounded extension is complete and lies strictly inside every other
+    complete one, so when it passes it is a witness, and no other is as small."""
     grounded = _extensions(f, Semantics.GROUNDED)
-    return grounded if hit(grounded[0]) else _extensions(f, Semantics.COMPLETE)
+    return grounded if hit(grounded[0]) else _search(attack_tables(f), Semantics.COMPLETE)
 
 
 # (tag, summary) -> nodes that give the summary of every extension of the tag
@@ -502,9 +500,9 @@ def query(
     quantified answers are vacuously true for an empty family. A target
     given with a global question is ignored.
 
-    The answers are those over the whole family. co and pr questions
-    take the module docstring's route rule: the grounded extension, then
-    the complete search.
+    The answers are those over the whole family; co and pr questions
+    take the module docstring's route rule, which stops a some-question
+    at its first witness.
     """
     tag = Semantics(tag)
     if question in _GLOBAL:

@@ -53,7 +53,7 @@ from afmat import (
     to_norm_form,
 )
 from afmat.core import _TABLES_CACHED, _verify_norm_form, attack_tables, pack, unpack
-from afmat.semantics import _extensions, _fixpoint, _maximal, _search, _select, _walk
+from afmat.semantics import _attacks, _extensions, _first, _fixpoint, _maximal, _search, _select, _walk
 
 ALL_TAGS = list(Semantics)
 
@@ -361,6 +361,8 @@ LOOKAHEAD_TAGS = (Semantics.STABLE, Semantics.ADMISSIBLE, Semantics.COMPLETE)
 UNDECIDED_BELOW_GROUNDED = Framework(4, {(1, 2), (2, 1), (4, 3)})
 # ten disjoint 2-cycles: 3^10 = 59 049 complete sets, 1 024 stable ones
 TWO_CYCLES = Framework(20, {(a, a + 1) for a in range(1, 20, 2)} | {(a + 1, a) for a in range(1, 20, 2)})
+# fifteen: 3^15 = 14 348 907 complete sets, more than a question can list
+TWO_CYCLES_15 = Framework(30, {(a, a + 1) for a in range(1, 30, 2)} | {(a + 1, a) for a in range(1, 30, 2)})
 
 
 def pruned_and_plain(f, tag):
@@ -377,9 +379,9 @@ class TooManyNodes(Exception):
     """The search visited more labellings than the test allows."""
 
 
-def settled(monkeypatch, tables, tag, most):
-    """What ``_settle`` returns for each labelling the search visits for
-    ``tag``; the search is stopped once it has visited more than ``most``."""
+def spy_settle(monkeypatch, most):
+    """The list of what each later ``_settle`` call returns; the call after
+    the first ``most + 1`` raises TooManyNodes."""
     settle, seen = semantics._settle, []
 
     def counted(*labelling):
@@ -389,8 +391,16 @@ def settled(monkeypatch, tables, tag, most):
         return seen[-1]
 
     monkeypatch.setattr(semantics, "_settle", counted)
+    return seen
+
+
+def settled(monkeypatch, tables, tag, most):
+    """What ``_settle`` returns for each labelling the search visits for
+    ``tag``; the search is stopped once it has visited more than ``most``."""
+    seen = spy_settle(monkeypatch, most)
     try:
-        _search(tables, tag)
+        for _ in _search(tables, tag):
+            pass
     except TooManyNodes:
         pass
     return seen
@@ -655,6 +665,21 @@ class TestQueries:
         assert query(AF5B, "EE-attacking", "pr", 3) == [(2, 4)]
 
 
+@pytest.mark.parametrize("call", [
+    lambda f, s: query(f, "DC", "st", s),
+    is_conflict_free,
+    is_admissible,
+    range_of,
+    extract_subblocks,
+    to_norm_form,
+], ids=["query", "is_conflict_free", "is_admissible", "range_of", "extract_subblocks", "to_norm_form"])
+@pytest.mark.parametrize("members", [[1, 1.0], [1.0, 1]], ids=["int_first", "float_first"])
+def test_non_integer_member_is_caught_in_any_order(call, members):
+    # 1.0 == 1, but is no argument: it must not hide behind a duplicate 1
+    with pytest.raises(IndexError, match=r"argument 1\.0 outside 1\.\.3"):
+        call(CYCLE3, members)
+
+
 ROUTED_TAGS = (Semantics.COMPLETE, Semantics.PREFERRED, Semantics.SEMI_STABLE, Semantics.EAGER)
 
 
@@ -721,9 +746,25 @@ class TestRoutes:
         assert query(f, "AC", "pr", 2) is False
 
     def test_some_questions_on_two_cycles(self):
-        # 59 049 complete sets and G = {}: exists stops at G, DC and AC list
-        # every complete set
+        # 59 049 complete sets and G = {}: exists stops at G, a YES to DC or
+        # AC at its first witness; only DC of (1, 2), a NO, lists every
+        # complete set
         check_some_questions(TWO_CYCLES, extensions(TWO_CYCLES, "co").sets, [1, 20, (1, 2)], [1, 20, (1, 3)])
+
+    @pytest.mark.parametrize("question, tag, target", [("DC", "co", 30), ("AC", "pr", 29)])
+    def test_some_questions_stop_at_first_witness(self, question, tag, target, monkeypatch):
+        # G = {} answers neither; listing the 14 348 907 complete sets first
+        # would take minutes
+        seen = spy_settle(monkeypatch, 50)
+        assert query(TWO_CYCLES_15, question, tag, target) is True
+        assert len(seen) <= 50
+
+    def test_first_does_not_depend_on_node_order(self):
+        # every set holding an even argument attacks the odd ones: (2,) ...
+        # (20,) tie on size, and the search yields them in its own order
+        nodes = list(_extensions(TWO_CYCLES, Semantics.COMPLETE))
+        hit = _attacks(pack(range(1, 21, 2)))
+        assert _first(nodes, hit) == _first(reversed(nodes), hit) == (2,)
 
     @pytest.mark.parametrize("n, p", [(200, 0.02), (300, 0.01)])
     def test_some_questions_start_no_walk(self, n, p, monkeypatch):
