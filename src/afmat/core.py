@@ -84,13 +84,19 @@ class Framework:
             raise ValueError(f"argument count must be a non-negative integer, got {n!r}")
         # Each pair is checked before the set is built, so that an endpoint
         # equal to an integer but of another type (1.0) cannot hide behind a
-        # duplicate, and an unhashable one is reported as a bad pair.
-        pairs = tuple(map(tuple, self.attacks))
-        for a, b in pairs:
+        # duplicate, and an unhashable one, or an entry that is no pair (1,
+        # None, (1,), (1, 2, 2)), is reported as a bad pair.
+        pairs = []
+        for pair in self.attacks:
+            try:
+                a, b = pair
+            except (TypeError, ValueError):
+                a = b = None
             if not (isinstance(a, int) and isinstance(b, int)):
-                raise ValueError(f"attack pair {(a, b)!r} must be a pair of integers")
+                raise ValueError(f"attack pair {pair!r} must be a pair of integers")
             if not (1 <= a <= n and 1 <= b <= n):
                 raise ValueError(f"attack ({a}, {b}) outside 1..{n}")
+            pairs.append((a, b))
         object.__setattr__(self, "attacks", frozenset(pairs))
 
     @classmethod

@@ -55,15 +55,15 @@ class TestFramework:
         with pytest.raises(ValueError, match=r"^attack \(1, 3\) outside 1\.\.2$"):
             Framework(2, [(1, 2), (1, 3)])
         # a pair must have exactly two endpoints
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="pair of integers"):
             Framework(2, {(1,)})
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="pair of integers"):
             Framework(2, {(1, 2, 2)})
         # checked before duplicates collapse: 1.0 == 1, but is no argument
         with pytest.raises(ValueError, match="pair of integers"):
             Framework(2, [(1, 2), (1.0, 2)])
 
-    @pytest.mark.parametrize("pair", [(1, "2"), (1.5, 2), (1.0, 2), ([1], 2)])
+    @pytest.mark.parametrize("pair", [(1, "2"), (1.5, 2), (1.0, 2), ([1], 2), 1, None])
     def test_non_integer_endpoint(self, pair):
         # an unhashable endpoint is a bad pair, not a TypeError
         with pytest.raises(ValueError, match="pair of integers"):

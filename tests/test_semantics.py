@@ -684,10 +684,10 @@ ROUTED_TAGS = (Semantics.COMPLETE, Semantics.PREFERRED, Semantics.SEMI_STABLE, S
 
 
 def plain_family(f, tag):
-    """The extensions of a routed tag by no route: co / pr as ``extensions``
-    builds them, sst / eg from the range-maximal nodes of the unpruned
-    complete walk, eg as the fixpoint inside their intersection."""
-    if tag in (Semantics.COMPLETE, Semantics.PREFERRED):
+    """The extensions of a routed tag by no route: cf / ad / co / pr as
+    ``extensions`` builds them, sst / eg from the range-maximal nodes of the
+    unpruned complete walk, eg as the fixpoint inside their intersection."""
+    if tag in (Semantics.CONFLICT_FREE, Semantics.ADMISSIBLE, Semantics.COMPLETE, Semantics.PREFERRED):
         return extensions(f, tag).sets
     tables = attack_tables(f)
     top = _maximal(list(_select(Semantics.COMPLETE, tables, _walk(tables))), key=lambda v: v[1] | v[2])
@@ -716,11 +716,15 @@ def check_some_questions(f, complete, contained, attacked):
 
 
 class TestRoutes:
-    """co / pr questions go through the grounded node before the complete
-    search, sst / eg through the stable search; the answers must equal set
-    logic over the family no route built."""
+    """cf / ad questions go through the empty set before the walk, co / pr
+    through the grounded node before the complete search, sst / eg through
+    the stable search; the answers must equal set logic over the family no
+    route built."""
 
-    @pytest.mark.parametrize("tag", ROUTED_TAGS, ids=lambda t: t.value)
+    # cf / ad on these only: the stressors hold 398 800 conflict-free sets
+    @pytest.mark.parametrize(
+        "tag", (Semantics.CONFLICT_FREE, Semantics.ADMISSIBLE) + ROUTED_TAGS, ids=lambda t: t.value
+    )
     @pytest.mark.parametrize("f", BEYOND_ORACLE, ids=lambda f: f"n{f.n}")
     def test_every_question_matches_plain_family(self, f, tag):
         check_catalogue(f, tag, plain_family(f, tag), list(f.arguments) + [(1, f.n)])
@@ -744,6 +748,17 @@ class TestRoutes:
         assert query(f, "AS", "co", 2) is False
         assert query(f, "DC", "pr", 2) is True
         assert query(f, "AC", "pr", 2) is False
+
+    @pytest.mark.parametrize("tag", ["cf", "ad"])
+    def test_least_answers_start_no_walk(self, tag, monkeypatch):
+        # 26.3M conflict-free sets; the empty set is conflict-free and
+        # admissible and lies inside every other such set, so it answers
+        f = generate(GeneratorConfig(n=60, p=0.1, seed=2024))
+        monkeypatch.setattr(semantics, "_walk", no_walk)
+        assert query(f, "SE", tag) == query(f, "SE-containing", tag, ()) == ()
+        assert query(f, "DS", tag, ()) is True
+        assert query(f, "DS", tag, 1) is False
+        assert query(f, "AS", tag, 1) is False
 
     def test_some_questions_on_two_cycles(self):
         # 59 049 complete sets and G = {}: exists stops at G, a YES to DC or
