@@ -7,13 +7,14 @@ grounded, ideal, semi-stable, eager) with :func:`extensions` and answers
 the acceptance questions about them with :func:`query`. A labelling
 search finds the stable and complete extensions. One depth-first walk
 over per-argument compatibility sets gives the conflict-free and
-admissible sets, and the complete sets that preferred, ideal,
-semi-stable and eager select from (semi-stable and eager take the stable
-extensions when there are any). Grounded is the complete search's first
-labelling, the least fixpoint of the defence function. A deliberately
-naive brute-force reference implementation is included for differential
-verification, plus TGF/APX file support, a reproducible random generator
-and a command-line front end (``afmat solve | gen | verify``).
+admissible sets; its admissible look-ahead also gives the complete sets
+that preferred, ideal, semi-stable and eager select from (semi-stable
+and eager take the stable extensions when there are any). Grounded is
+the complete search's first labelling, the least fixpoint of the
+defence function. A deliberately naive brute-force reference
+implementation is included for differential verification, plus TGF/APX
+file support, a reproducible random generator and a command-line front
+end (``afmat solve | gen | verify``).
 """
 
 from .core import (

@@ -80,19 +80,19 @@ class Framework:
 
     def __post_init__(self):
         n = self.n
-        if not isinstance(n, int) or n < 0:
+        if type(n) is not int or n < 0:
             raise ValueError(f"argument count must be a non-negative integer, got {n!r}")
         # Each pair is checked before the set is built, so that an endpoint
-        # equal to an integer but of another type (1.0) cannot hide behind a
-        # duplicate, and an unhashable one, or an entry that is no pair (1,
-        # None, (1,), (1, 2, 2)), is reported as a bad pair.
+        # equal to an integer but of another type (1.0, True) cannot hide
+        # behind a duplicate, and an unhashable one, or an entry that is no
+        # pair (1, None, (1,), (1, 2, 2)), is reported as a bad pair.
         pairs = []
         for pair in self.attacks:
             try:
                 a, b = pair
             except (TypeError, ValueError):
                 a = b = None
-            if not (isinstance(a, int) and isinstance(b, int)):
+            if not (type(a) is int and type(b) is int):
                 raise ValueError(f"attack pair {pair!r} must be a pair of integers")
             if not (1 <= a <= n and 1 <= b <= n):
                 raise ValueError(f"attack ({a}, {b}) outside 1..{n}")
@@ -121,10 +121,10 @@ def argset(members: Iterable[int]) -> ArgSet:
 def checked_argset(f: Framework, members: Iterable[int]) -> ArgSet:
     """Canonicalise ``members`` and verify every one lies in 1..n."""
     # Each member is checked before duplicates collapse, so that one equal to
-    # an integer but of another type (1.0) cannot hide behind the integer.
+    # an integer but of another type (1.0, True) cannot hide behind the integer.
     members = tuple(members)
     for a in members:
-        if not (isinstance(a, int) and 1 <= a <= f.n):
+        if not (type(a) is int and 1 <= a <= f.n):
             raise IndexError(f"argument {a!r} outside 1..{f.n}")
     return argset(members)
 
@@ -220,7 +220,7 @@ class AttackMatrix:
     rows: tuple[int, ...]
 
     def _check_position(self, k: int) -> None:
-        if not (isinstance(k, int) and 1 <= k <= self.n):
+        if not (type(k) is int and 1 <= k <= self.n):
             raise IndexError(f"position {k!r} outside 1..{self.n}")
 
     def cell(self, s: int, t: int) -> int:
@@ -247,8 +247,8 @@ def check_permutation(permutation: Iterable[int], n: int) -> tuple[int, ...]:
     perm = tuple(permutation)
     if len(perm) != n:
         raise MalformedPermutationError(f"expected {n} labels, got {len(perm)}")
-    # 2.0 == 2 in the comparison below, but is no argument identifier
-    if sorted(perm) != list(range(1, n + 1)) or not all(isinstance(x, int) for x in perm):
+    # 2.0 == 2 and True == 1 in the comparison below, but neither is an argument identifier
+    if sorted(perm) != list(range(1, n + 1)) or not all(type(x) is int for x in perm):
         raise MalformedPermutationError(f"labels {perm!r} are not a permutation of 1..{n}")
     return perm
 

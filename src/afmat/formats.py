@@ -73,8 +73,8 @@ class NameMap:
         return cls(tuple(str(i) for i in range(1, n + 1)))
 
     def name_of(self, i: int) -> str:
-        if not 1 <= i <= len(self.names):
-            raise IndexError(f"argument {i} outside 1..{len(self.names)}")
+        if not (type(i) is int and 1 <= i <= len(self.names)):
+            raise IndexError(f"argument {i!r} outside 1..{len(self.names)}")
         return self.names[i - 1]
 
     def id_of(self, name: str) -> int:

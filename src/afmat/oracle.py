@@ -28,7 +28,7 @@ class OracleBoundError(ValueError):
 def oracle_defends(f: Framework, s: ArgSet, a: int) -> bool:
     """True iff every attacker of ``a`` is attacked by some member of ``s``."""
     members = checked_argset(f, s)
-    if not (isinstance(a, int) and 1 <= a <= f.n):
+    if not (type(a) is int and 1 <= a <= f.n):
         raise IndexError(f"argument {a!r} outside 1..{f.n}")
     return all(
         any((c, b) in f.attacks for c in members)

@@ -40,13 +40,12 @@ Two engines give every family; ``_extensions`` yields its nodes.
 * The walk, ``_walk``, gives cf and ad. Each node's ``cand`` holds the
   arguments above max(S) compatible with every member; the child for i
   in ``cand`` gets ``cand & above[i]`` and ORs in the rows of i. Every
-  node is conflict-free, each set is reached once, and children are
-  pushed highest first, so sets pop in lexicographic preorder and a
-  stable sort by size gives the public order (by cardinality, then
-  lexicographic). For ad the walk looks ahead: everything the sets below
-  a node can attack lies in ``reach = plus | OR(targets[i] for i in
-  cand)``, so a node with ``minus & ~reach != 0`` is dropped with its
-  subtree.
+  node is conflict-free and reached once; children are pushed highest
+  first, so sets pop in lexicographic preorder and a stable sort by size
+  gives the public order. For ad, and the complete sets pr and sst keep,
+  the walk looks ahead: everything the sets below a node can attack lies
+  in ``reach = plus | OR(targets[i] for i in cand)``, so a node with
+  ``minus & ~reach != 0`` is dropped with its subtree.
 * The search, ``_search``, gives st and co by labelling (Modgil &
   Caminada 2009; Nofal, Atkinson & Dunne, AIJ 207, 2014). An argument is
   put in (``inn``, with ``plus`` and ``minus``) or excluded for good
@@ -68,9 +67,9 @@ Two engines give every family; ``_extensions`` yields its nodes.
   slower than the walk on 10^4 or more complete sets.
 
 The other tags read these. Preferred and semi-stable keep the complete
-nodes of the unpruned walk whose mask (Dung, AIJ 77, 1995) or range
-(Caminada, COMMA 2006) is inclusion-maximal, by ``_maximal``; when a
-stable extension exists, the semi-stable ones are the stable ones.
+nodes of the ad walk whose mask (Dung, AIJ 77, 1995) or range (Caminada,
+COMMA 2006) is inclusion-maximal, by ``_maximal``; when a stable
+extension exists, the semi-stable ones are the stable ones.
 Grounded is G, co's first labelling. Ideal and eager come from
 ``_fixpoint``, which iterates Dung's defence function inside the
 intersection of the preferred / semi-stable extensions.
@@ -86,10 +85,10 @@ first-question takes it if it passes, else reads the family: for co the
 search as it yields, which a some-question leaves at its first witness.
 pr's some-questions read co, as every complete extension lies inside a
 preferred one, which is complete. Every other question reads the tag's
-own family; for pr, id, and sst / eg without a stable extension, that
-still walks every conflict-free set. Families and answers are
-deterministic: sets come in the public order, by cardinality and then
-lexicographically.
+own family; for pr, id, and sst / eg without a stable extension, that is
+the ad walk, which prunes nothing when every attack is mutual. Families
+and answers are deterministic: sets come in the public order, by
+cardinality and then lexicographically.
 """
 
 from __future__ import annotations
@@ -135,10 +134,10 @@ def basic_sets(f: Framework) -> dict[int, frozenset[int]]:
 def _walk(tables: AttackTables, tag: Semantics | None = None) -> Iterator[_Node]:
     """Conflict-free sets as nodes, in lexicographic preorder.
 
-    With no tag, or a tag other than ad, every conflict-free set is
-    yielded exactly once. With ad, a node is dropped with its whole
-    subtree when ``reach`` (``plus`` OR the rows of every argument in
-    ``cand``: everything a set below can attack) misses an attacker of S.
+    With no tag (cf) every conflict-free set is yielded exactly once. With
+    ad, which pr and sst read too, a node is dropped with its subtree when
+    ``reach`` (``plus`` OR the rows of every argument in ``cand``:
+    everything a set below can attack) misses an attacker of S.
     """
     targets, attackers, above = tables.targets, tables.attackers, tables.above
     lookahead = tag is Semantics.ADMISSIBLE
@@ -307,17 +306,6 @@ def _node(tables: AttackTables, members: ArgSet) -> _Node:
     return members, mask, _union(tables.targets, mask), _union(tables.attackers, mask), 0
 
 
-def _defends_no_outsider(tables: AttackTables, mask: int, plus: int) -> bool:
-    """Every argument outside the set's range has an attacker the set leaves alone."""
-    undefeated = tables.full & ~(mask | plus)
-    while undefeated:
-        low = undefeated & -undefeated
-        if tables.attackers[low.bit_length()] & ~plus == 0:
-            return False  # not _defended: without this exit id / pr EE at n=12 run 20-25 % slower
-        undefeated ^= low
-    return True
-
-
 def _select(tag: Semantics, tables: AttackTables, nodes: Iterable[_Node]) -> Iterable[_Node]:
     """The nodes whose conflict-free set meets the core criterion of ``tag``,
     by word tests on the carried ``mask``, ``plus`` and ``minus``."""
@@ -326,7 +314,8 @@ def _select(tag: Semantics, tables: AttackTables, nodes: Iterable[_Node]) -> Ite
     admissible = (v for v in nodes if v[3] & ~v[2] == 0)
     if tag is Semantics.ADMISSIBLE:
         return admissible
-    return (v for v in admissible if _defends_no_outsider(tables, v[1], v[2]))
+    full, attackers = tables.full, tables.attackers
+    return (v for v in admissible if not _defended(attackers, full & ~(v[1] | v[2]), v[2]))
 
 
 def _decide(f: Framework, candidate: Iterable[int], tag: Semantics) -> bool:
@@ -408,7 +397,8 @@ def _extensions(f: Framework, tag: Semantics) -> Iterable[_Node]:
     # same sets, but on 10 disjoint 2-cycles and a 3-cycle (59 049 complete sets)
     # _maximal by range takes 0.015 s and by set 1.3 s
     key = (lambda v: v[1]) if tag is Semantics.PREFERRED else (lambda v: v[1] | v[2])
-    return _maximal(list(_select(Semantics.COMPLETE, tables, _walk(tables))), key)
+    complete = _select(Semantics.COMPLETE, tables, _walk(tables, Semantics.ADMISSIBLE))
+    return _maximal(list(complete), key)
 
 
 def extensions(f: Framework, tag: Semantics | str) -> ExtensionFamily:

@@ -47,6 +47,9 @@ class TestFramework:
     def test_validation(self):
         with pytest.raises(ValueError):
             Framework(-1)
+        # True == 1, but is no argument count
+        with pytest.raises(ValueError, match="non-negative integer"):
+            Framework(True)
         with pytest.raises(ValueError):
             Framework(2, {(0, 1)})
         with pytest.raises(ValueError):
@@ -63,7 +66,7 @@ class TestFramework:
         with pytest.raises(ValueError, match="pair of integers"):
             Framework(2, [(1, 2), (1.0, 2)])
 
-    @pytest.mark.parametrize("pair", [(1, "2"), (1.5, 2), (1.0, 2), ([1], 2), 1, None])
+    @pytest.mark.parametrize("pair", [(1, "2"), (1.5, 2), (1.0, 2), ([1], 2), 1, None, (True, 2), (1, False)])
     def test_non_integer_endpoint(self, pair):
         # an unhashable endpoint is a bad pair, not a TypeError
         with pytest.raises(ValueError, match="pair of integers"):
@@ -107,10 +110,14 @@ class TestBuildMatrix:
             m.cell(0, 1)
         with pytest.raises(IndexError):
             m.cell(1, 4)
+        with pytest.raises(IndexError):
+            m.cell(True, 2)
+        with pytest.raises(IndexError):
+            m.cell(1, 2.0)
 
     @pytest.mark.parametrize(
         "perm",
-        [(1, 2), (1, 2, 3, 4), (1, 1, 3), (0, 1, 2), (2, 3, 4), (1.0, 2, 3), (1, 2, 3.0)],
+        [(1, 2), (1, 2, 3, 4), (1, 1, 3), (0, 1, 2), (2, 3, 4), (1.0, 2, 3), (1, 2, 3.0), (True, 2, 3)],
     )
     def test_malformed_permutations(self, perm):
         with pytest.raises(MalformedPermutationError):
@@ -118,6 +125,8 @@ class TestBuildMatrix:
 
     def test_check_permutation_passthrough(self):
         assert check_permutation([2, 1], 2) == (2, 1)
+        with pytest.raises(MalformedPermutationError):
+            check_permutation([True, 2], 2)
 
     @given(frameworks_with_permutation())
     def test_round_trip_reconstruction(self, fp):

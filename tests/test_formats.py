@@ -109,6 +109,10 @@ class TestNameMap:
     def test_out_of_range(self):
         with pytest.raises(IndexError):
             NameMap(("a",)).name_of(2)
+        # equal to 1, but no argument identifier
+        for i in (1.0, True):
+            with pytest.raises(IndexError, match=rf"argument {i!r} outside 1\.\.3"):
+                NameMap.identity(3).name_of(i)
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError):

@@ -49,3 +49,14 @@ def test_probability_bounds(p):
 def test_negative_count_rejected():
     with pytest.raises(ValueError):
         GeneratorConfig(n=-1, p=0.5, seed=0)
+    # equal to an integer, but no argument count
+    for n in (True, 2.0):
+        with pytest.raises(ValueError):
+            GeneratorConfig(n=n, p=0.5, seed=0)
+
+
+@pytest.mark.parametrize("seed", [None, 1.0, "1", True])
+def test_seed_must_be_an_integer(seed):
+    # random.Random(None) seeds from the OS: no framework would be pinned
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        GeneratorConfig(n=5, p=0.5, seed=seed)

@@ -29,6 +29,8 @@ class TestDefends:
     def test_out_of_range(self):
         with pytest.raises(IndexError):
             oracle_defends(AF5A, (), 6)
+        with pytest.raises(IndexError):
+            oracle_defends(AF5A, (1,), True)
 
 
 class TestFamily:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import re
 import time
 import weakref
 from itertools import islice
@@ -279,6 +280,10 @@ BEYOND_ORACLE = [
     generate(GeneratorConfig(n=19, p=0.15, seed=2025)),
 ]
 
+# Within the ad look-ahead walk's reach, where the unpruned walk visits
+# 26.3M conflict-free sets at n=60.
+LOOKAHEAD_REACH = [generate(GeneratorConfig(n=n, p=0.1, seed=2024)) for n in (60, 80)]
+
 
 class TestBeyondOracleBound:
     """The fast paths against the plain route where the oracle refuses:
@@ -310,16 +315,18 @@ class TestBeyondOracleBound:
         least = [s for s in complete if all(set(s) <= set(c) for c in complete)]
         assert extensions(f, "gr").ordered() == least
 
-    @pytest.mark.parametrize("f", BEYOND_ORACLE, ids=lambda f: f"n{f.n}")
+    @pytest.mark.parametrize("f", BEYOND_ORACLE + LOOKAHEAD_REACH, ids=lambda f: f"n{f.n}")
     def test_maximal_complete_equals_maximal_admissible(self, f):
         # pr / sst compare the complete sets; Dung and Caminada define
-        # them over the admissible sets
-        members = {s: frozenset(s) for s in extensions(f, "ad").sets}
-        reach = {s: frozenset(range_of(f, s)) for s in members}
-        preferred = {s for s, m in members.items() if not any(m < o for o in members.values())}
-        semi_stable = {s for s, r in reach.items() if not any(r < o for o in reach.values())}
-        assert extensions(f, "pr").sets == preferred
-        assert extensions(f, "sst").sets == semi_stable
+        # them over the admissible sets. pr / sst and ad all read the ad
+        # look-ahead walk, so the co search's family is an independent check.
+        for family in ("ad", "co"):
+            members = {s: frozenset(s) for s in extensions(f, family).sets}
+            reach = {s: frozenset(range_of(f, s)) for s in members}
+            preferred = {s for s, m in members.items() if not any(m < o for o in members.values())}
+            semi_stable = {s for s, r in reach.items() if not any(r < o for o in reach.values())}
+            assert extensions(f, "pr").sets == preferred, family
+            assert extensions(f, "sst").sets == semi_stable, family
 
     @pytest.mark.parametrize("f", BEYOND_ORACLE, ids=lambda f: f"n{f.n}")
     @pytest.mark.parametrize("tag, outer", [("id", "pr"), ("eg", "sst")])
@@ -376,7 +383,7 @@ def pruned_and_plain(f, tag):
 
 
 class TooManyNodes(Exception):
-    """The search visited more labellings than the test allows."""
+    """The search or the walk visited more nodes than the test allows."""
 
 
 def spy_settle(monkeypatch, most):
@@ -458,6 +465,23 @@ class TestLookahead:
             assert len(settled(monkeypatch, tables, tag, most)) <= most
         else:
             assert sum(1 for _ in islice(_walk(tables, tag), most + 1)) <= most
+
+    @pytest.mark.parametrize("tag", ["pr", "id", "sst", "eg"])
+    def test_derived_tags_walk_few_nodes(self, tag, monkeypatch):
+        # no stable set: pr / sst keep the complete nodes of the ad
+        # look-ahead walk, 3 428 nodes, where the unpruned walk visits all
+        # 26.3M conflict-free sets
+        walk, most = semantics._walk, 20_000
+
+        def budgeted(*args):
+            for count, node in enumerate(walk(*args)):
+                if count == most:
+                    raise TooManyNodes
+                yield node
+
+        monkeypatch.setattr(semantics, "_walk", budgeted)
+        f = generate(GeneratorConfig(n=60, p=0.1, seed=2024))
+        assert extensions(f, tag).ordered() == [(2, 3, 4, 6, 12, 25, 27, 28, 31, 32, 33, 38, 49, 54)]
 
     @pytest.mark.parametrize("n, p, most", [(60, 0.1, 170), (200, 0.02, 1_000)])
     def test_complete_search_settles_few_labellings(self, n, p, most, monkeypatch):
@@ -659,6 +683,8 @@ class TestQueries:
             query(AF5A, "DC", "st")
         with pytest.raises(IndexError):
             query(AF5A, "DC", "st", 9)
+        with pytest.raises(IndexError, match="argument True outside"):
+            query(AF5A, "DC", "gr", True)
 
     def test_witness_helpers(self):
         assert query(AF5B, "EE-containing", "pr", 4) == [(2, 4)]
@@ -673,10 +699,12 @@ class TestQueries:
     extract_subblocks,
     to_norm_form,
 ], ids=["query", "is_conflict_free", "is_admissible", "range_of", "extract_subblocks", "to_norm_form"])
-@pytest.mark.parametrize("members", [[1, 1.0], [1.0, 1]], ids=["int_first", "float_first"])
+@pytest.mark.parametrize("members", [[1, 1.0], [1.0, 1], [1, True], [True, 1]],
+                         ids=["int_first", "float_first", "int_before_bool", "bool_first"])
 def test_non_integer_member_is_caught_in_any_order(call, members):
-    # 1.0 == 1, but is no argument: it must not hide behind a duplicate 1
-    with pytest.raises(IndexError, match=r"argument 1\.0 outside 1\.\.3"):
+    # 1.0 == True == 1, but neither is an argument: it must not hide behind a duplicate 1
+    bad = next(a for a in members if type(a) is not int)
+    with pytest.raises(IndexError, match=rf"argument {re.escape(repr(bad))} outside 1\.\.3"):
         call(CYCLE3, members)
 
 
