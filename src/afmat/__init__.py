@@ -7,9 +7,9 @@ grounded, ideal, semi-stable, eager) with :func:`extensions` and answers
 the acceptance questions about them with :func:`query`. A labelling
 search finds the stable and complete extensions. One depth-first walk
 over per-argument compatibility sets gives the conflict-free and
-admissible sets; its admissible look-ahead also gives the complete sets
-that preferred, ideal, semi-stable and eager select from (semi-stable
-and eager take the stable extensions when there are any). Grounded is
+admissible sets; the complete ones among those admissible sets are what
+preferred, ideal, semi-stable and eager select from (semi-stable and
+eager take the stable extensions when there are any). Grounded is
 the complete search's first labelling, the least fixpoint of the
 defence function. A deliberately naive brute-force reference
 implementation is included for differential verification, plus TGF/APX

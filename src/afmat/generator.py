@@ -28,7 +28,7 @@ class GeneratorConfig:
     def __post_init__(self):
         if type(self.n) is not int or self.n < 0:
             raise ValueError(f"argument count must be a non-negative integer, got {self.n!r}")
-        if not 0.0 <= self.p <= 1.0:
+        if type(self.p) not in (int, float) or not 0.0 <= self.p <= 1.0:  # True == 1
             raise ValueError(f"attack probability must lie in [0, 1], got {self.p!r}")
         if type(self.seed) is not int:  # random.Random(None) seeds from the OS
             raise ValueError(f"seed must be an integer, got {self.seed!r}")

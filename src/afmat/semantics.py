@@ -35,17 +35,17 @@ of the same verdicts lives in :mod:`afmat.core`. :func:`is_stable`,
 :func:`is_admissible`, :func:`is_complete` and :func:`range_of` apply
 the tests to a node OR-ed from a candidate's members (``_node``).
 
-Two engines give every family; ``_extensions`` yields its nodes.
+Two engines give every family; ``_extensions`` passes their nodes on as
+they come, and no engine owes an order.
 
 * The walk, ``_walk``, gives cf and ad. Each node's ``cand`` holds the
   arguments above max(S) compatible with every member; the child for i
   in ``cand`` gets ``cand & above[i]`` and ORs in the rows of i. Every
-  node is conflict-free and reached once; children are pushed highest
-  first, so sets pop in lexicographic preorder and a stable sort by size
-  gives the public order. For ad, and the complete sets pr and sst keep,
-  the walk looks ahead: everything the sets below a node can attack lies
-  in ``reach = plus | OR(targets[i] for i in cand)``, so a node with
-  ``minus & ~reach != 0`` is dropped with its subtree.
+  node is conflict-free and reached once, in lexicographic preorder.
+  For ad, and the complete sets pr and sst keep, the walk looks ahead:
+  everything the sets below a node can attack lies in ``reach = plus |
+  OR(targets[i] for i in cand)``, so a node with ``minus & ~reach != 0``
+  is dropped with its subtree; of the others it yields the admissible.
 * The search, ``_search``, gives st and co by labelling (Modgil &
   Caminada 2009; Nofal, Atkinson & Dunne, AIJ 207, 2014). An argument is
   put in (``inn``, with ``plus`` and ``minus``) or excluded for good
@@ -62,14 +62,15 @@ Two engines give every family; ``_extensions`` yields its nodes.
   branches on the open constraint with the fewest candidates (each in,
   the ones before it excluded), else on the undecided argument of most
   attacks (in, then excluded), and yields each full labelling as it
-  settles it; ``_extensions`` sorts them lexicographically. It needs
-  few labellings where the walk would visit millions of sets, but is
-  slower than the walk on 10^4 or more complete sets.
+  settles it. It needs few labellings where the walk would visit
+  millions of sets, but is slower than the walk on 10^4 or more complete
+  sets.
 
-The other tags read these. Preferred and semi-stable keep the complete
-nodes of the ad walk whose mask (Dung, AIJ 77, 1995) or range (Caminada,
-COMMA 2006) is inclusion-maximal, by ``_maximal``; when a stable
-extension exists, the semi-stable ones are the stable ones.
+The other tags read these. Preferred and semi-stable take the ad walk's
+nodes that pass the complete test and keep those whose mask (Dung, AIJ
+77, 1995) or range (Caminada, COMMA 2006) is inclusion-maximal, by
+``_maximal``; when a stable extension exists, the semi-stable ones are
+the stable ones.
 Grounded is G, co's first labelling. Ideal and eager come from
 ``_fixpoint``, which iterates Dung's defence function inside the
 intersection of the preferred / semi-stable extensions.
@@ -81,14 +82,14 @@ the least in the public order, or the ordered list of those that pass.
 Both tests are monotone: a superset of a passing set passes. So where
 one extension lies inside every other (``_least``: the empty set for cf
 and ad, G for co), an every-question reads it alone, and a some- or
-first-question takes it if it passes, else reads the family: for co the
-search as it yields, which a some-question leaves at its first witness.
-pr's some-questions read co, as every complete extension lies inside a
-preferred one, which is complete. Every other question reads the tag's
-own family; for pr, id, and sst / eg without a stable extension, that is
-the ad walk, which prunes nothing when every attack is mutual. Families
-and answers are deterministic: sets come in the public order, by
-cardinality and then lexicographically.
+first-question takes it if it passes. pr's some-questions read co, as
+every complete extension lies inside a preferred one, which is complete.
+Otherwise a question reads the family as ``_extensions`` yields it, so
+a some- or every-question stops at its first witness or counterexample;
+for pr, id, and sst / eg without a stable extension, that family comes
+from the ad walk, which prunes nothing when every attack is mutual.
+Answers are deterministic: lists and first sets follow the public order,
+by cardinality and then lexicographically.
 """
 
 from __future__ import annotations
@@ -134,10 +135,11 @@ def basic_sets(f: Framework) -> dict[int, frozenset[int]]:
 def _walk(tables: AttackTables, tag: Semantics | None = None) -> Iterator[_Node]:
     """Conflict-free sets as nodes, in lexicographic preorder.
 
-    With no tag (cf) every conflict-free set is yielded exactly once. With
-    ad, which pr and sst read too, a node is dropped with its subtree when
-    ``reach`` (``plus`` OR the rows of every argument in ``cand``:
-    everything a set below can attack) misses an attacker of S.
+    With cf every conflict-free set is yielded exactly once. With ad, which
+    pr and sst read too, only the admissible nodes are yielded, and a node
+    is dropped with its subtree when ``reach`` (``plus`` OR the rows of
+    every argument in ``cand``: everything a set below can attack) misses
+    an attacker of S.
     """
     targets, attackers, above = tables.targets, tables.attackers, tables.above
     lookahead = tag is Semantics.ADMISSIBLE
@@ -154,7 +156,8 @@ def _walk(tables: AttackTables, tag: Semantics | None = None) -> Iterator[_Node]
                 rest ^= low
             if minus & ~reach:
                 continue
-        yield node
+        if not lookahead or not minus & ~plus:
+            yield node
         rest = cand
         while rest:
             i = rest.bit_length()  # highest first, so pops run in lexicographic preorder
@@ -263,7 +266,7 @@ def iter_conflict_free(f: Framework) -> Iterator[ArgSet]:
 
     The whole family is held in memory before the first set is yielded.
     """
-    yield from sorted((v[0] for v in _extensions(f, Semantics.CONFLICT_FREE)), key=len)
+    yield from query(f, "EE", Semantics.CONFLICT_FREE)
 
 
 class Semantics(str, Enum):
@@ -306,26 +309,19 @@ def _node(tables: AttackTables, members: ArgSet) -> _Node:
     return members, mask, _union(tables.targets, mask), _union(tables.attackers, mask), 0
 
 
-def _select(tag: Semantics, tables: AttackTables, nodes: Iterable[_Node]) -> Iterable[_Node]:
-    """The nodes whose conflict-free set meets the core criterion of ``tag``,
-    by word tests on the carried ``mask``, ``plus`` and ``minus``."""
-    if tag is Semantics.STABLE:
-        return (v for v in nodes if v[1] | v[2] == tables.full)
-    admissible = (v for v in nodes if v[3] & ~v[2] == 0)
-    if tag is Semantics.ADMISSIBLE:
-        return admissible
-    full, attackers = tables.full, tables.attackers
-    return (v for v in admissible if not _defended(attackers, full & ~(v[1] | v[2]), v[2]))
-
-
 def _decide(f: Framework, candidate: Iterable[int], tag: Semantics) -> bool:
+    """The module docstring's word test of ``tag`` on the candidate's node."""
     members = checked_argset(f, candidate)
     _require_conflict_free(f, members)
     tables = attack_tables(f)
-    node = [_node(tables, members)]
-    if tag is Semantics.COMPLETE and not any(_select(Semantics.ADMISSIBLE, tables, node)):
+    _, mask, plus, minus, _ = _node(tables, members)
+    if tag is Semantics.STABLE:
+        return mask | plus == tables.full
+    if tag is Semantics.ADMISSIBLE:
+        return not minus & ~plus
+    if minus & ~plus:
         raise PreconditionError("candidate set is not admissible")
-    return any(_select(tag, tables, node))
+    return not _defended(tables.attackers, tables.full & ~(mask | plus), plus)
 
 
 def is_stable(f: Framework, candidate: Iterable[int]) -> bool:
@@ -379,26 +375,24 @@ def _extensions(f: Framework, tag: Semantics) -> Iterable[_Node]:
         # a member lookup; G is the search's root labelling, settled by the complete rules
         inn, _, plus, minus, _ = _settle(tables, False, *_root(tables))
         return [(unpack(inn), inn, plus, minus, 0)]
-    if tag is Semantics.CONFLICT_FREE:
-        return _walk(tables)
-    if tag is Semantics.ADMISSIBLE:
-        return _select(tag, tables, _walk(tables, tag))
+    if tag in _FROM_EMPTY:  # cf and ad, the walk's tags
+        return _walk(tables, tag)
     if tag in (Semantics.STABLE, Semantics.COMPLETE):
-        return sorted(_search(tables, tag))  # distinct sets: lexicographic order
+        return _search(tables, tag)
     if tag in (Semantics.IDEAL, Semantics.EAGER):
         top = _extensions(f, Semantics.PREFERRED if tag is Semantics.IDEAL else Semantics.SEMI_STABLE)
         fence = tables.full
         for v in top:
             fence &= v[1]
         return [_fixpoint(tables, fence)]
-    if tag is Semantics.SEMI_STABLE and (stable := _extensions(f, Semantics.STABLE)):
+    if tag is Semantics.SEMI_STABLE and (stable := list(_extensions(f, Semantics.STABLE))):
         return stable  # when a stable extension exists, the semi-stable ones are the stable ones
     # sst keeps the range key over the complete nodes rather than reading pr: the
     # same sets, but on 10 disjoint 2-cycles and a 3-cycle (59 049 complete sets)
     # _maximal by range takes 0.015 s and by set 1.3 s
     key = (lambda v: v[1]) if tag is Semantics.PREFERRED else (lambda v: v[1] | v[2])
-    complete = _select(Semantics.COMPLETE, tables, _walk(tables, Semantics.ADMISSIBLE))
-    return _maximal(list(complete), key)
+    full, attackers, ad = tables.full, tables.attackers, _walk(tables, Semantics.ADMISSIBLE)
+    return _maximal([v for v in ad if not _defended(attackers, full & ~(v[1] | v[2]), v[2])], key)
 
 
 def extensions(f: Framework, tag: Semantics | str) -> ExtensionFamily:
@@ -430,7 +424,7 @@ def _first(nodes: Iterable[_Node], hit: Callable[[_Node], bool]) -> ArgSet | Non
 
 
 def _listed(nodes: Iterable[_Node], hit: Callable[[_Node], bool]) -> list[ArgSet]:
-    return sorted((v[0] for v in nodes if hit(v)), key=len)
+    return sorted(sorted(v[0] for v in nodes if hit(v)), key=len)
 
 
 # question -> (summary over the extensions, test of one extension against the target mask)
@@ -476,8 +470,8 @@ def query(
     given with a global question is ignored.
 
     The answers are those over the whole family; cf, ad, co and pr
-    questions take the module docstring's least-extension rule, which
-    stops a some-question at its first witness.
+    questions take the module docstring's least-extension rule first, and
+    a some- or every-question stops at its first witness or counterexample.
     """
     tag = Semantics(tag)
     if question in _GLOBAL:
@@ -491,10 +485,5 @@ def query(
     if summary is _some and tag is Semantics.PREFERRED:
         tag = Semantics.COMPLETE  # each complete set lies inside a preferred one, which is complete
     least = None if summary is _listed else _least(f, tag)
-    if least is None:
-        nodes = _extensions(f, tag)
-    elif summary is _every or hit(least):  # both tests are monotone
-        nodes = [least]
-    else:  # co reads the search unsorted, so a some-question stops at its first witness
-        nodes = _search(attack_tables(f), tag) if tag is Semantics.COMPLETE else _extensions(f, tag)
-    return summary(nodes, hit)
+    use_least = least is not None and (summary is _every or hit(least))  # both tests are monotone
+    return summary([least] if use_least else _extensions(f, tag), hit)

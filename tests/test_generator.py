@@ -40,8 +40,9 @@ def test_empty():
     assert generate(GeneratorConfig(n=0, p=0.7, seed=5)) == Framework(0)
 
 
-@pytest.mark.parametrize("p", [-0.1, 1.1])
+@pytest.mark.parametrize("p", [-0.1, 1.1, True, None, "0.5"])
 def test_probability_bounds(p):
+    # True == 1 would draw every attack
     with pytest.raises(ValueError):
         GeneratorConfig(n=3, p=p, seed=0)
 
