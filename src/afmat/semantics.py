@@ -33,7 +33,8 @@ on the outsiders marks the non-zero columns of the outgoing block, and
 ``minus`` the non-zero rows of the incoming block. The norm-form reading
 of the same verdicts lives in :mod:`afmat.core`. :func:`is_stable`,
 :func:`is_admissible`, :func:`is_complete` and :func:`range_of` apply
-the tests to a node OR-ed from a candidate's members (``_node``).
+the tests to a node OR-ed from a candidate's members (``_node``); the
+families share two of them, ``_admissible`` and ``_complete``.
 
 Two engines give every family; ``_extensions`` passes their nodes on as
 they come, and no engine owes an order.
@@ -45,7 +46,8 @@ they come, and no engine owes an order.
   For ad, and the complete sets pr and sst keep, the walk looks ahead:
   everything the sets below a node can attack lies in ``reach = plus |
   OR(targets[i] for i in cand)``, so a node with ``minus & ~reach != 0``
-  is dropped with its subtree; of the others it yields the admissible.
+  is dropped with its subtree; ``_extensions`` keeps the admissible
+  survivors.
 * The search, ``_search``, gives st and co by labelling (Modgil &
   Caminada 2009; Nofal, Atkinson & Dunne, AIJ 207, 2014). An argument is
   put in (``inn``, with ``plus`` and ``minus``) or excluded for good
@@ -133,14 +135,9 @@ def basic_sets(f: Framework) -> dict[int, frozenset[int]]:
 
 
 def _walk(tables: AttackTables, tag: Semantics | None = None) -> Iterator[_Node]:
-    """Conflict-free sets as nodes, in lexicographic preorder.
-
-    With cf every conflict-free set is yielded exactly once. With ad, which
-    pr and sst read too, only the admissible nodes are yielded, and a node
-    is dropped with its subtree when ``reach`` (``plus`` OR the rows of
-    every argument in ``cand``: everything a set below can attack) misses
-    an attacker of S.
-    """
+    """Conflict-free sets as nodes, in lexicographic preorder: with cf every
+    one once; with ad (read by pr and sst too) every node the look-ahead
+    keeps, admissible or not, so each yield is one node visited."""
     targets, attackers, above = tables.targets, tables.attackers, tables.above
     lookahead = tag is Semantics.ADMISSIBLE
     stack = [((), 0, 0, 0, tables.full & ~tables.loops)]
@@ -156,8 +153,7 @@ def _walk(tables: AttackTables, tag: Semantics | None = None) -> Iterator[_Node]
                 rest ^= low
             if minus & ~reach:
                 continue
-        if not lookahead or not minus & ~plus:
-            yield node
+        yield node
         rest = cand
         while rest:
             i = rest.bit_length()  # highest first, so pops run in lexicographic preorder
@@ -262,10 +258,7 @@ def _search(tables: AttackTables, tag: Semantics) -> Iterator[_Node]:
 
 
 def iter_conflict_free(f: Framework) -> Iterator[ArgSet]:
-    """Every conflict-free set, by cardinality, lexicographic within one size.
-
-    The whole family is held in memory before the first set is yielded.
-    """
+    """Every conflict-free set in the public order, all held in memory first."""
     yield from query(f, "EE", Semantics.CONFLICT_FREE)
 
 
@@ -309,19 +302,26 @@ def _node(tables: AttackTables, members: ArgSet) -> _Node:
     return members, mask, _union(tables.targets, mask), _union(tables.attackers, mask), 0
 
 
+def _admissible(v: _Node) -> bool:
+    return not v[3] & ~v[2]
+
+
+def _complete(tables: AttackTables, v: _Node) -> bool:
+    """The complete test, on an admissible node."""
+    return not _defended(tables.attackers, tables.full & ~(v[1] | v[2]), v[2])
+
+
 def _decide(f: Framework, candidate: Iterable[int], tag: Semantics) -> bool:
     """The module docstring's word test of ``tag`` on the candidate's node."""
     members = checked_argset(f, candidate)
     _require_conflict_free(f, members)
     tables = attack_tables(f)
-    _, mask, plus, minus, _ = _node(tables, members)
+    node = _node(tables, members)
     if tag is Semantics.STABLE:
-        return mask | plus == tables.full
-    if tag is Semantics.ADMISSIBLE:
-        return not minus & ~plus
-    if minus & ~plus:
+        return node[1] | node[2] == tables.full
+    if tag is Semantics.COMPLETE and not _admissible(node):
         raise PreconditionError("candidate set is not admissible")
-    return not _defended(tables.attackers, tables.full & ~(mask | plus), plus)
+    return _admissible(node) and (tag is Semantics.ADMISSIBLE or _complete(tables, node))
 
 
 def is_stable(f: Framework, candidate: Iterable[int]) -> bool:
@@ -376,7 +376,8 @@ def _extensions(f: Framework, tag: Semantics) -> Iterable[_Node]:
         inn, _, plus, minus, _ = _settle(tables, False, *_root(tables))
         return [(unpack(inn), inn, plus, minus, 0)]
     if tag in _FROM_EMPTY:  # cf and ad, the walk's tags
-        return _walk(tables, tag)
+        nodes = _walk(tables, tag)
+        return nodes if tag is Semantics.CONFLICT_FREE else filter(_admissible, nodes)
     if tag in (Semantics.STABLE, Semantics.COMPLETE):
         return _search(tables, tag)
     if tag in (Semantics.IDEAL, Semantics.EAGER):
@@ -387,12 +388,11 @@ def _extensions(f: Framework, tag: Semantics) -> Iterable[_Node]:
         return [_fixpoint(tables, fence)]
     if tag is Semantics.SEMI_STABLE and (stable := list(_extensions(f, Semantics.STABLE))):
         return stable  # when a stable extension exists, the semi-stable ones are the stable ones
-    # sst keeps the range key over the complete nodes rather than reading pr: the
-    # same sets, but on 10 disjoint 2-cycles and a 3-cycle (59 049 complete sets)
-    # _maximal by range takes 0.015 s and by set 1.3 s
+    # sst keeps the range key rather than reading pr: the same sets, but on 10 disjoint
+    # 2-cycles and a 3-cycle (59 049 complete sets) by range takes 0.015 s, by set 1.3 s
     key = (lambda v: v[1]) if tag is Semantics.PREFERRED else (lambda v: v[1] | v[2])
-    full, attackers, ad = tables.full, tables.attackers, _walk(tables, Semantics.ADMISSIBLE)
-    return _maximal([v for v in ad if not _defended(attackers, full & ~(v[1] | v[2]), v[2])], key)
+    ad = filter(_admissible, _walk(tables, Semantics.ADMISSIBLE))
+    return _maximal([v for v in ad if _complete(tables, v)], key)
 
 
 def extensions(f: Framework, tag: Semantics | str) -> ExtensionFamily:
