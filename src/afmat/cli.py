@@ -25,7 +25,7 @@ from typing import Sequence
 
 from . import semantics
 from .core import InternalInvariantError
-from .formats import ParseError, detect_format, format_apx, format_tgf, parse, render_argset
+from .formats import ParseError, format_apx, format_tgf, parse_apx, parse_tgf, render_argset
 from .generator import GeneratorConfig, generate
 from .oracle import oracle_family, oracle_grounded_fixpoint
 from .semantics import Semantics
@@ -38,6 +38,7 @@ EXIT_INTERNAL = 3
 _TAGS = [tag.value for tag in Semantics]
 _TASKS = ("EE", "SE", "DC", "DS", "AC", "AS")
 _LOCAL_TASKS = ("DC", "DS", "AC", "AS")
+_FORMATS = {"tgf": (parse_tgf, format_tgf), "apx": (parse_apx, format_apx)}  # reader, writer
 
 _DEFAULT_SWEEP_N = range(1, 7)
 _DEFAULT_SWEEP_P = (0.1, 0.3, 0.5)
@@ -54,7 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="compute extensions or acceptance answers for a file")
     solve.add_argument("path", help="framework file (TGF or APX)")
-    solve.add_argument("--format", choices=("tgf", "apx"), help="input format (default: by file extension)")
+    solve.add_argument("--format", choices=_FORMATS, help="input format (default: by file extension)")
     solve.add_argument("--semantics", required=True, choices=_TAGS)
     solve.add_argument("--task", required=True, choices=_TASKS)
     solve.add_argument("--arg", help="argument name for DC/DS/AC/AS")
@@ -64,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--n", type=int, required=True, help="number of arguments")
     gen.add_argument("--p", type=float, required=True, help="attack probability per ordered pair")
     gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--format", choices=("tgf", "apx"), default="tgf")
+    gen.add_argument("--format", choices=_FORMATS, default="tgf")
     gen.set_defaults(func=_cmd_gen)
 
     verify = sub.add_parser(
@@ -72,14 +73,15 @@ def _build_parser() -> argparse.ArgumentParser:
         help="differentially check the matrix path against the brute-force reference",
     )
     verify.add_argument("path", nargs="?", help="framework file; omit for the seeded default sweep")
-    verify.add_argument("--format", choices=("tgf", "apx"))
+    verify.add_argument("--format", choices=_FORMATS)
     verify.set_defaults(func=_cmd_verify)
     return parser
 
 
 def _read_framework(args) -> tuple:
-    fmt = args.format or detect_format(args.path)
-    if fmt is None:
+    _, dot, extension = args.path.rpartition(".")
+    fmt = args.format or (extension.lower() if dot else None)
+    if fmt not in _FORMATS:
         raise ValueError(f"cannot infer format of {args.path!r}; pass --format")
     try:
         text = Path(args.path).read_text(encoding="utf-8-sig")  # drop a byte-order mark
@@ -87,7 +89,7 @@ def _read_framework(args) -> tuple:
         raise ValueError(f"cannot read {args.path!r}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"{args.path!r} is not UTF-8 text: {exc}") from exc
-    return parse(text, fmt)
+    return _FORMATS[fmt][0](text)
 
 
 def _cmd_solve(args) -> int:
@@ -107,8 +109,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_gen(args) -> int:
     f = generate(GeneratorConfig(n=args.n, p=args.p, seed=args.seed))
-    text = format_tgf(f) if args.format == "tgf" else format_apx(f)
-    sys.stdout.write(text)
+    sys.stdout.write(_FORMATS[args.format][1](f))
     return EXIT_OK
 
 

@@ -11,8 +11,9 @@ Trivial graph format (``.tgf``), line oriented::
     <src> <dst> [ignored label ...] one line per attack
 
 Every declaration line must start with a name (a whitespace-free token
-other than ``#``); a blank line before the separator is rejected as an
-empty argument name, and a line such as ``# x`` as a ``#`` name.
+other than ``#``, with no ``,``: answers list names between commas); a
+blank line before the separator is rejected as an empty argument name,
+and a line such as ``# x`` as a ``#`` name.
 Attack lines may be blank (skipped); both endpoints must have been
 declared. Duplicate attack lines collapse, duplicate declarations are an
 error.
@@ -100,6 +101,8 @@ def parse_tgf(text: str) -> tuple[Framework, NameMap]:
         name = stripped.split()[0]
         if name == "#":
             raise ParseError(f"line {ln}: '#' cannot be an argument name; the separator is a lone '#'")
+        if "," in name:
+            raise ParseError(f"line {ln}: argument name {name!r} contains ','")
         if name in index:
             raise ParseError(f"line {ln}: duplicate argument name {name!r}")
         index[name] = len(names) + 1
@@ -156,7 +159,7 @@ def parse_apx(text: str) -> tuple[Framework, NameMap]:
 
 
 def _tgf_safe(name: str) -> str:
-    if not name or any(c.isspace() for c in name) or name == "#":
+    if not name or any(c.isspace() for c in name) or name == "#" or "," in name:
         raise ValueError(f"name {name!r} cannot be written in TGF")
     return name
 
@@ -183,25 +186,6 @@ def format_apx(f: Framework, names: NameMap | None = None) -> str:
     lines = [f"arg({name})." for name in table]
     lines.extend([f"att({table[a - 1]},{table[b - 1]})." for a, b in sorted(f.attacks)])
     return "\n".join(lines) + "\n"
-
-
-def detect_format(path: str) -> str | None:
-    """Guess the file format from the extension, or None."""
-    lowered = str(path).lower()
-    if lowered.endswith(".tgf"):
-        return "tgf"
-    if lowered.endswith(".apx"):
-        return "apx"
-    return None
-
-
-def parse(text: str, fmt: str) -> tuple[Framework, NameMap]:
-    """Parse ``text`` as the given format (``tgf`` or ``apx``)."""
-    if fmt == "tgf":
-        return parse_tgf(text)
-    if fmt == "apx":
-        return parse_apx(text)
-    raise ValueError(f"unknown format {fmt!r}")
 
 
 def render_argset(members: tuple[int, ...], names: NameMap) -> str:

@@ -131,6 +131,8 @@ def reference_parse_tgf(text: str) -> tuple[Framework, NameMap]:
         name = stripped.split()[0]
         if name == "#":
             raise ParseError(f"line {ln}: '#' cannot be an argument name; the separator is a lone '#'")
+        if "," in name:
+            raise ParseError(f"line {ln}: argument name {name!r} contains ','")
         if name in index:
             raise ParseError(f"line {ln}: duplicate argument name {name!r}")
         index[name] = len(names) + 1

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -115,6 +117,20 @@ class TestSolve:
                            "--task", "EE", str(odd))
         assert (code, out) == (EXIT_OK, "[1,3,5]\n")
 
+    def test_format_detection(self, capsys, tmp_path):
+        # the extension picks the reader whatever its case; a path with no
+        # known extension, or none at all, asks for --format
+        upper = tmp_path / "F.APX"
+        upper.write_text(format_apx(AF5A), encoding="utf-8")
+        assert run(capsys, "solve", "--semantics", "st", "--task", "EE", str(upper)) == (
+            EXIT_OK, "[1,3,5]\n", "")
+        for name in ("notes.txt", "framework"):
+            path = tmp_path / name
+            path.write_text(TGF_A, encoding="utf-8")
+            code, _, err = run(capsys, "solve", "--semantics", "st", "--task", "EE", str(path))
+            assert code == EXIT_USAGE
+            assert "--format" in err
+
     def test_external_names(self, capsys, tmp_path):
         path = tmp_path / "n.tgf"
         path.write_text("sun\nrain\n#\nsun rain\n", encoding="utf-8")
@@ -150,6 +166,13 @@ class TestExitCodes:
         code, _, err = run(capsys, "solve", "--semantics", "st", "--task", "EE", str(path))
         assert code == EXIT_USAGE
         assert "--format" in err
+
+    def test_unknown_format(self, capsys, tgf_a):
+        for argv in (["solve", tgf_a, "--semantics", "st", "--task", "EE"],
+                     ["gen", "--n", "2", "--p", "0"], ["verify", tgf_a]):
+            code, out, err = run(capsys, *argv, "--format", "json")
+            assert (code, out) == (EXIT_USAGE, "")
+            assert "invalid choice" in err
 
     def test_parse_error(self, capsys, tmp_path):
         path = tmp_path / "bad.tgf"
@@ -384,3 +407,19 @@ def test_closed_stdout_is_a_quiet_exit_zero(tmp_path, argv, lines_read, unbuffer
     err = proc.stderr.read()
     proc.stderr.close()
     assert (proc.wait(timeout=60), err) == (EXIT_OK, b"")
+
+
+def test_run_cli_stops_quietly_when_stdout_closes(capsys, tgf_a):
+    class ClosedPipe(io.StringIO):
+        writes = 0
+
+        def write(self, _):
+            self.writes += 1
+            raise BrokenPipeError
+
+        writelines = write
+
+    closed = ClosedPipe()
+    with contextlib.redirect_stdout(closed):
+        code = run_cli(["solve", tgf_a, "--semantics", "co", "--task", "EE"])
+    assert (code, closed.writes, capsys.readouterr().err) == (EXIT_OK, 1, "")

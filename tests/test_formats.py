@@ -18,7 +18,7 @@ from afmat import (
     parse_apx,
     parse_tgf,
 )
-from afmat.formats import detect_format, parse, render_argset
+from afmat.formats import render_argset
 
 TGF_CYCLE = "1\n2\n3\n#\n1 2\n2 3\n3 1\n"
 APX_CYCLE = "arg(1). arg(2). arg(3). att(1,2). att(2,3). att(3,1)."
@@ -184,6 +184,15 @@ class TestParseTgf:
         with pytest.raises(ParseError, match="source and a target"):
             parse_tgf("a\n#\na\n")
 
+    def test_comma_in_name_rejected(self):
+        # the answer [x,y,z] would read as three arguments x, y and z
+        text = "x,y\nz\n#\n"
+        with pytest.raises(ParseError, match="line 1: argument name 'x,y' contains ','"):
+            parse_tgf(text)
+        assert outcome(reference_parse_tgf, text) == outcome(parse_tgf, text)
+        with pytest.raises(ValueError, match="cannot be written in TGF"):
+            format_tgf(Framework(1), NameMap(("x,y",)))
+
     @given(tgf_texts())
     @example("a\n#\na a\nz a\na\n")  # the first of two bad lines is named
     @example("a\n#\na\nz a\n")
@@ -300,7 +309,8 @@ class TestCheckedHandoff:
     def test_dense_framework(self, fmt):
         # the size of the slowest files-cli call: n=150, p=0.8
         g = generate(GeneratorConfig(n=150, p=0.8, seed=1))
-        f, _ = parse(format_tgf(g) if fmt == "tgf" else format_apx(g), fmt)
+        reader, writer = (parse_tgf, format_tgf) if fmt == "tgf" else (parse_apx, format_apx)
+        f, _ = reader(writer(g))
         assert len(f.attacks) > 17_000
         assert f == g
         assert_as_if_public(f)
@@ -314,19 +324,6 @@ class TestCheckedHandoff:
         # the spy sees the public constructor
         Framework(2, [(1, 2)])
         assert pair_checks == [2]
-
-
-def test_detect_format():
-    assert detect_format("x/framework.tgf") == "tgf"
-    assert detect_format("F.APX") == "apx"
-    assert detect_format("notes.txt") is None
-
-
-def test_parse_dispatch():
-    assert parse(TGF_CYCLE, "tgf")[0] == CYCLE3
-    assert parse(APX_CYCLE, "apx")[0] == CYCLE3
-    with pytest.raises(ValueError):
-        parse("", "json")
 
 
 def test_render_argset():
