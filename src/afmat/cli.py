@@ -138,6 +138,8 @@ def _cmd_verify(args) -> int:
     if args.path is not None:
         f, _ = _read_framework(args)
         jobs.append((f, args.path))
+    elif args.format is not None:
+        raise ValueError("--format applies to a framework file; the default sweep reads none")
     else:
         for n in _DEFAULT_SWEEP_N:
             for p in _DEFAULT_SWEEP_P:

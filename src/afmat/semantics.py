@@ -11,10 +11,11 @@ set and lie in no conflict-free set. The attack tables
 ``targets[i]``, the column ``attackers[i]``, and C(i) above i as
 ``above[i]``.
 
-A set S is handled as a node ``(set, mask, plus, minus, cand)``: its
-members, their word, ``plus`` (everything S attacks), ``minus``
-(everything that attacks S) and the walk's ``cand`` (0 elsewhere). Two
-word primitives make these reads: ``_union(rows, mask)``, the OR of the
+Outside cf, a set S is handled as a node ``(set, mask, plus, minus,
+cand)``: its members, their word, ``plus`` (everything S attacks),
+``minus`` (everything that attacks S) and the walk's ``cand`` (0
+elsewhere); a cf extension carries only its members. Two word
+primitives make these reads: ``_union(rows, mask)``, the OR of the
 members' rows (``plus`` from the targets, ``minus`` from the attackers),
 and ``_defended(attackers, within, by)``, the members of ``within`` with
 no attacker outside ``by`` (Dung's defence function at ``by = plus``).
@@ -36,18 +37,21 @@ of the same verdicts lives in :mod:`afmat.core`. :func:`is_stable`,
 the tests to a node OR-ed from a candidate's members (``_node``); the
 families share two of them, ``_admissible`` and ``_complete``.
 
-Two engines give every family; ``_extensions`` passes their nodes on as
-they come, and no engine owes an order.
+Three engines give every family; each passes its sets on as they come,
+and no engine owes an order.
 
-* The walk, ``_walk``, gives cf and ad. Each node's ``cand`` holds the
-  arguments above max(S) compatible with every member; the child for i
-  in ``cand`` gets ``cand & above[i]`` and ORs in the rows of i. Every
-  node is conflict-free and reached once, in lexicographic preorder.
-  For ad, and the complete sets pr and sst keep, the walk looks ahead:
-  everything the sets below a node can attack lies in ``reach = plus |
-  OR(targets[i] for i in cand)``, so a node with ``minus & ~reach != 0``
-  is dropped with its subtree; ``_extensions`` keeps the admissible
-  survivors.
+* The enumerator, ``_conflict_free``, gives cf: the paper's basic-set
+  enumeration. It walks the compatibility tree on a stack of ``(set,
+  cand)``, where ``cand`` holds the arguments above max(S) compatible
+  with every member; the child for i in ``cand`` is ``(set + (i,), cand
+  & above[i])``. Every conflict-free set is reached once, in
+  lexicographic preorder, and yielded as its members alone.
+* The walk, ``_walk``, gives ad, and the complete sets pr and sst keep.
+  It walks the same tree with nodes, each child OR-ing in the rows of i,
+  and looks ahead: everything the sets below a node can attack lies in
+  ``reach = plus | OR(targets[i] for i in cand)``, so a node with
+  ``minus & ~reach != 0`` is dropped with its subtree; ``_extensions``
+  keeps the admissible survivors.
 * The search, ``_search``, gives st and co by labelling (Modgil &
   Caminada 2009; Nofal, Atkinson & Dunne, AIJ 207, 2014). An argument is
   put in (``inn``, with ``plus`` and ``minus``) or excluded for good
@@ -84,10 +88,17 @@ the least in the public order, or the ordered list of those that pass.
 Both tests are monotone: a superset of a passing set passes. So where
 one extension lies inside every other (``_least``: the empty set for cf
 and ad, G for co), an every-question reads it alone, and a some- or
-first-question takes it if it passes. pr's some-questions read co, as
-every complete extension lies inside a preferred one, which is complete.
-Otherwise a question reads the family as ``_extensions`` yields it, so
-a some- or every-question stops at its first witness or counterexample;
+first-question takes it if it passes (the least-extension rule). cf is
+also closed under subsets, so a least passing set is a minimal witness,
+and cf's some- and first-questions read it alone (the minimal-witness
+rule, ``_cf_answer``): the target itself if it is conflict-free; the
+least attacker of the target that does not attack itself. cf's lists
+read the enumerator's sets and pack each only when the target is not
+empty: a set attacks t iff it holds an attacker of t.
+pr's some-questions read co, as every complete extension lies inside a
+preferred one, which is complete. Otherwise a question reads the family
+as ``_extensions`` yields it, so a some- or every-question stops at its
+first witness or counterexample;
 for pr, id, and sst / eg without a stable extension, that family comes
 from the ad walk, which prunes nothing when every attack is mutual.
 Answers are deterministic: lists and first sets follow the public order,
@@ -134,29 +145,43 @@ def basic_sets(f: Framework) -> dict[int, frozenset[int]]:
     }
 
 
-def _walk(tables: AttackTables, tag: Semantics | None = None) -> Iterator[_Node]:
-    """Conflict-free sets as nodes, in lexicographic preorder: with cf every
-    one once; with ad (read by pr and sst too) every node the look-ahead
-    keeps, admissible or not, so each yield is one node visited."""
+def _conflict_free(tables: AttackTables) -> Iterator[ArgSet]:
+    """Every conflict-free set once, in lexicographic preorder: the child
+    of ``(set, cand)`` for i in ``cand`` is ``(set + (i,), cand & above[i])``."""
+    above, ones = tables.above, tuple((i,) for i in range(tables.n + 1))  # each (i,) built once
+    stack = [((), tables.full & ~tables.loops)]
+    push = stack.append
+    while stack:
+        s, cand = stack.pop()
+        yield s
+        rest = cand
+        while rest:
+            i = rest.bit_length()  # highest first, so pops run in lexicographic preorder
+            rest ^= 1 << (i - 1)
+            push((s + ones[i], cand & above[i]))
+
+
+def _walk(tables: AttackTables) -> Iterator[_Node]:
+    """The ad look-ahead walk, read by ad, pr and sst: every conflict-free
+    node the look-ahead keeps, admissible or not, in lexicographic
+    preorder, so each yield is one node visited."""
     targets, attackers, above = tables.targets, tables.attackers, tables.above
-    lookahead = tag is Semantics.ADMISSIBLE
     stack = [((), 0, 0, 0, tables.full & ~tables.loops)]
     push = stack.append
     while stack:
         node = stack.pop()
         s, mask, plus, minus, cand = node
-        if lookahead:  # inline: a _union call per walk node slows ad EE by up to 30 %
-            reach, rest = plus, cand
-            while rest:
-                low = rest & -rest
-                reach |= targets[low.bit_length()]
-                rest ^= low
-            if minus & ~reach:
-                continue
+        reach, rest = plus, cand  # inline: a _union call per walk node slows ad EE by up to 30 %
+        while rest:
+            low = rest & -rest
+            reach |= targets[low.bit_length()]
+            rest ^= low
+        if minus & ~reach:
+            continue
         yield node
         rest = cand
         while rest:
-            i = rest.bit_length()  # highest first, so pops run in lexicographic preorder
+            i = rest.bit_length()
             bit = 1 << (i - 1)
             rest ^= bit
             push((s + (i,), mask | bit, plus | targets[i], minus | attackers[i], cand & above[i]))
@@ -258,7 +283,8 @@ def _search(tables: AttackTables, tag: Semantics) -> Iterator[_Node]:
 
 
 def iter_conflict_free(f: Framework) -> Iterator[ArgSet]:
-    """Every conflict-free set in the public order, all held in memory first."""
+    """Every conflict-free set in the public order: the enumerator's sets,
+    all held in memory and sorted first."""
     yield from query(f, "EE", Semantics.CONFLICT_FREE)
 
 
@@ -369,15 +395,15 @@ def _fixpoint(tables: AttackTables, fence: int) -> _Node:
 
 def _extensions(f: Framework, tag: Semantics) -> Iterable[_Node]:
     """The node of every extension of ``f`` under ``tag``, from the engine
-    the module docstring names for the tag."""
+    the module docstring names for the tag; not for cf, whose sets come
+    from ``_conflict_free`` without nodes."""
     tables = attack_tables(f)
     if tag is Semantics.GROUNDED:  # first: every co and gr question reads G, and each test costs
         # a member lookup; G is the search's root labelling, settled by the complete rules
         inn, _, plus, minus, _ = _settle(tables, False, *_root(tables))
         return [(unpack(inn), inn, plus, minus, 0)]
-    if tag in _FROM_EMPTY:  # cf and ad, the walk's tags
-        nodes = _walk(tables, tag)
-        return nodes if tag is Semantics.CONFLICT_FREE else filter(_admissible, nodes)
+    if tag is Semantics.ADMISSIBLE:
+        return filter(_admissible, _walk(tables))
     if tag in (Semantics.STABLE, Semantics.COMPLETE):
         return _search(tables, tag)
     if tag in (Semantics.IDEAL, Semantics.EAGER):
@@ -391,13 +417,14 @@ def _extensions(f: Framework, tag: Semantics) -> Iterable[_Node]:
     # sst keeps the range key rather than reading pr: the same sets, but on 10 disjoint
     # 2-cycles and a 3-cycle (59 049 complete sets) by range takes 0.015 s, by set 1.3 s
     key = (lambda v: v[1]) if tag is Semantics.PREFERRED else (lambda v: v[1] | v[2])
-    ad = filter(_admissible, _walk(tables, Semantics.ADMISSIBLE))
-    return _maximal([v for v in ad if _complete(tables, v)], key)
+    return _maximal([v for v in _extensions(f, Semantics.ADMISSIBLE) if _complete(tables, v)], key)
 
 
 def extensions(f: Framework, tag: Semantics | str) -> ExtensionFamily:
     """All extensions under any supported tag."""
     tag = Semantics(tag)
+    if tag is Semantics.CONFLICT_FREE:  # streamed: a list first adds 11 MB at n=24, p=0.05
+        return ExtensionFamily(frozenset(_conflict_free(attack_tables(f))))
     return ExtensionFamily(frozenset(v[0] for v in _extensions(f, tag)))
 
 
@@ -444,6 +471,26 @@ _GLOBAL = {"exists": "DC", "SE": "SE-containing", "EE": "EE-containing"}
 _FROM_EMPTY = frozenset({Semantics.CONFLICT_FREE, Semantics.ADMISSIBLE})
 
 
+def _cf_answer(tables: AttackTables, summary: Callable, test: Callable, t: int):
+    """A cf some-, first- or list-question about the target mask ``t``, by
+    the module docstring's minimal-witness rule and the enumerator's sets."""
+    if summary is _listed:
+        sets = _conflict_free(tables)
+        if test is _attacks:  # a set attacks t iff it holds an attacker of t
+            word = _union(tables.attackers, t)
+            sets = (s for s in sets if pack(s) & word) if word else ()
+        elif t:
+            sets = (s for s in sets if not t & ~pack(s))
+        return sorted(sorted(sets), key=len)
+    if test is _contains:
+        v = _node(tables, unpack(t))
+        witness = [] if v[1] & v[2] else [v]
+    else:
+        free = _union(tables.attackers, t) & ~tables.loops
+        witness = [_node(tables, unpack(free & -free))] if free else []
+    return summary(witness, test(t))
+
+
 def _least(f: Framework, tag: Semantics) -> _Node | None:
     """The node of the extension that lies inside every other one: the
     empty set for cf and ad, G for co; None for the other tags."""
@@ -470,8 +517,9 @@ def query(
     given with a global question is ignored.
 
     The answers are those over the whole family; cf, ad, co and pr
-    questions take the module docstring's least-extension rule first, and
-    a some- or every-question stops at its first witness or counterexample.
+    questions take the module docstring's least-extension rule first, cf
+    some- and first-questions its minimal-witness rule, and a some- or
+    every-question stops at its first witness or counterexample.
     """
     tag = Semantics(tag)
     if question in _GLOBAL:
@@ -481,7 +529,10 @@ def query(
     if target is None:
         raise ValueError(f"question {question!r} needs a target argument or set")
     summary, test = _QUESTIONS[question]
-    hit = test(pack(checked_argset(f, (target,) if isinstance(target, int) else target)))
+    t = pack(checked_argset(f, (target,) if isinstance(target, int) else target))
+    if tag is Semantics.CONFLICT_FREE and summary is not _every:
+        return _cf_answer(attack_tables(f), summary, test, t)
+    hit = test(t)
     if summary is _some and tag is Semantics.PREFERRED:
         tag = Semantics.COMPLETE  # each complete set lies inside a preferred one, which is complete
     least = None if summary is _listed else _least(f, tag)

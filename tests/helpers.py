@@ -3,10 +3,11 @@
 Holds the small hand-checked frameworks the unit tests revolve around,
 a hypothesis strategy for arbitrary small frameworks,
 naive grid-walking reference implementations of the sub-block criteria
-(independent of the packed-word path in the library), a line-by-line
-reference TGF reader, a check that a framework built without the
-per-pair check is the one the public constructor builds, and the seeded
-corpus builder used by the differential and acceptance tests.
+(independent of the packed-word path in the library), a plain walk over
+every conflict-free set, a line-by-line reference TGF reader, a check
+that a framework built without the per-pair check is the one the public
+constructor builds, and the seeded corpus builder used by the
+differential and acceptance tests.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from itertools import chain, combinations
 from hypothesis import strategies as st
 
 from afmat import Framework, GeneratorConfig, NameMap, ParseError, SubBlocks, generate
-from afmat.core import ArgSet, Grid, attack_tables
+from afmat.core import ArgSet, AttackTables, Grid, attack_tables
 
 # 3-cycle: no stable extension, grounded/ideal/eager all empty-set.
 CYCLE3 = Framework(3, {(1, 2), (2, 3), (3, 1)})
@@ -109,6 +110,26 @@ def assemble(sb: SubBlocks) -> Grid:
     top = tuple(r1 + r2 for r1, r2 in zip(sb.inner, sb.outgoing))
     bottom = tuple(r1 + r2 for r1, r2 in zip(sb.incoming, sb.outer))
     return top + bottom
+
+
+def plain_walk(tables: AttackTables):
+    """Every conflict-free set once as ``(set, mask, plus, minus)``, with no
+    look-ahead: a set grows by each argument above its largest member that
+    neither attacks itself nor attacks or is attacked by a member. Written
+    apart from the library's walk, on the tables' rows alone."""
+    free = tables.full & ~tables.loops
+    stack = [((), 0, 0, 0)]
+    while stack:
+        node = stack.pop()
+        yield node
+        s, mask, plus, minus = node
+        above = mask.bit_length()
+        rest = (free & ~(plus | minus)) >> above << above
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            a = low.bit_length()
+            stack.append((s + (a,), mask | low, plus | tables.targets[a], minus | tables.attackers[a]))
 
 
 def reference_parse_tgf(text: str) -> tuple[Framework, NameMap]:

@@ -345,6 +345,12 @@ class TestVerify:
         assert code == EXIT_USAGE
         assert "bound" in err
 
+    def test_format_without_path_is_a_usage_error(self, capsys):
+        # the seeded sweep reads no file, so the option would do nothing
+        code, out, err = run(capsys, "verify", "--format", "apx")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "--format" in err
+
     @pytest.mark.parametrize("option", [["--n", "5"], ["--p", "0.9"], ["--seed", "7"]])
     def test_generator_options_are_usage_errors(self, capsys, option):
         code, out, err = run(capsys, "verify", *option)

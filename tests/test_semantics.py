@@ -18,6 +18,7 @@ from helpers import (
     admissible_by_blocks,
     complete_by_blocks,
     frameworks,
+    plain_walk,
     powerset,
     stable_by_blocks,
 )
@@ -405,12 +406,12 @@ def plain_select(tag, tables, nodes):
 
 
 def pruned_and_plain(f, tag):
-    """The nodes ``tag``'s own engine gives and those the plain walk keeps,
-    without the walk's ``cand``."""
+    """The nodes ``tag``'s own engine gives, without the walk's ``cand``,
+    and those the plain walk keeps."""
     tables = attack_tables(f)
     return (
         {v[:4] for v in _extensions(f, tag)},
-        {v[:4] for v in plain_select(tag, tables, _walk(tables))},
+        set(plain_select(tag, tables, plain_walk(tables))),
     )
 
 
@@ -496,7 +497,7 @@ class TestLookahead:
         if tag is Semantics.STABLE:
             assert len(settled(monkeypatch, tables, tag, most)) <= most
         else:
-            assert sum(1 for _ in islice(_walk(tables, tag), most + 1)) <= most
+            assert sum(1 for _ in islice(_walk(tables), most + 1)) <= most
 
     @pytest.mark.parametrize("tag", ["pr", "id", "sst", "eg"])
     def test_derived_tags_walk_few_nodes(self, tag, monkeypatch):
@@ -674,6 +675,20 @@ class TestQueries:
         for tag in ALL_TAGS:
             check_catalogue(f, tag, oracle_family(f, tag).sets, targets)
 
+    @settings(deadline=None)
+    @given(frameworks(max_n=8))
+    # self-attacker 1, the attack 2 -> 3 inside the pair (2, 3), and 4 whose
+    # least attacker 1 attacks itself: its least cf attacker is 2
+    @example(Framework(4, {(1, 1), (2, 3), (1, 4), (2, 4)}))
+    # 2's only attacker attacks itself: no conflict-free set attacks 2
+    @example(Framework(2, {(1, 1), (1, 2)}))
+    def test_cf_closed_forms_match_oracle(self, f):
+        # cf some- and first-questions read a minimal witness, the lists the
+        # enumerator: each against set logic over the oracle's family
+        pairs = sorted({(min(a, b), max(a, b)) for a, b in f.attacks if a != b})
+        targets = [(), *f.arguments, *pairs[:3]]
+        check_catalogue(f, Semantics.CONFLICT_FREE, oracle_family(f, "cf").sets, targets)
+
     def test_membership_questions(self):
         assert query(AF5A, "DC", "st", 1)
         assert not query(AF5A, "DS", "st", 2)
@@ -744,13 +759,16 @@ ROUTED_TAGS = (Semantics.COMPLETE, Semantics.PREFERRED, Semantics.SEMI_STABLE, S
 
 
 def plain_family(f, tag):
-    """The extensions of a routed tag by no route: cf / ad / co / pr as
-    ``extensions`` builds them, sst / eg from the range-maximal nodes of the
-    unpruned complete walk, eg as the fixpoint inside their intersection."""
-    if tag in (Semantics.CONFLICT_FREE, Semantics.ADMISSIBLE, Semantics.COMPLETE, Semantics.PREFERRED):
+    """The extensions of a routed tag by no route: cf from the plain walk,
+    ad / co / pr as ``extensions`` builds them, sst from the range-maximal
+    complete nodes of the plain walk, eg as the fixpoint inside their
+    intersection."""
+    if tag in (Semantics.ADMISSIBLE, Semantics.COMPLETE, Semantics.PREFERRED):
         return extensions(f, tag).sets
     tables = attack_tables(f)
-    top = _maximal(plain_select(Semantics.COMPLETE, tables, _walk(tables)), key=lambda v: v[1] | v[2])
+    if tag is Semantics.CONFLICT_FREE:
+        return {v[0] for v in plain_walk(tables)}
+    top = _maximal(plain_select(Semantics.COMPLETE, tables, plain_walk(tables)), key=lambda v: v[1] | v[2])
     if tag is Semantics.SEMI_STABLE:
         return {v[0] for v in top}
     fence = tables.full
@@ -759,8 +777,8 @@ def plain_family(f, tag):
     return {_fixpoint(tables, fence)[0]}
 
 
-def no_walk(tables, tag=None):
-    raise AssertionError(f"walk started for {tag}")
+def no_walk(tables):
+    raise AssertionError("walk started")
 
 
 def check_some_questions(f, complete, contained, attacked):
@@ -815,10 +833,34 @@ class TestRoutes:
         # admissible and lies inside every other such set, so it answers
         f = generate(GeneratorConfig(n=60, p=0.1, seed=2024))
         monkeypatch.setattr(semantics, "_walk", no_walk)
+        monkeypatch.setattr(semantics, "_conflict_free", no_walk)
         assert query(f, "SE", tag) == query(f, "SE-containing", tag, ()) == ()
         assert query(f, "DS", tag, ()) is True
         assert query(f, "DS", tag, 1) is False
         assert query(f, "AS", tag, 1) is False
+
+    @pytest.mark.parametrize("n, question, target", [
+        (80, "DC", 12), (80, "DC", 10), (60, "DC", 11), (60, "SE-containing", 2), (60, "DC", (1, 2, 3)),
+        (60, "SE-containing", (1, 27)), (60, "AC", 2), (60, "AC", 33), (60, "SE-attacking", 2),
+        (80, "SE-attacking", (12, 40)),
+    ])
+    def test_cf_witnesses_start_no_walk(self, n, question, target, monkeypatch):
+        # 26.3M conflict-free sets at n=60, more at n=80, where a walk to the
+        # first witness takes seconds for DC of 11 and more than 20 s for DC
+        # of 12 at n=80: neither the cf enumerator nor the ad walk may
+        # start. The expected answers read ``f.attacks`` alone
+        f = generate(GeneratorConfig(n=n, p=0.1, seed=2024))
+        t = {target} if isinstance(target, int) else set(target)
+        if question in ("DC", "SE-containing"):
+            free = not any((a, b) in f.attacks for a in t for b in t)
+            expected = tuple(sorted(t)) if free else None
+        else:  # the least attacker of t that does not attack itself
+            attackers = sorted(a for (a, b) in f.attacks if b in t and (a, a) not in f.attacks)
+            expected = (attackers[0],) if attackers else None
+        monkeypatch.setattr(semantics, "_walk", no_walk)
+        monkeypatch.setattr(semantics, "_conflict_free", no_walk)
+        answer = query(f, question, "cf", target)
+        assert answer == (expected is not None if question in ("DC", "AC") else expected)
 
     def test_some_questions_on_two_cycles(self):
         # 59 049 complete sets and G = {}: exists stops at G, a YES to DC or
