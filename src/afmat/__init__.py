@@ -5,10 +5,10 @@ matrix. :mod:`afmat.semantics` computes the extensions of the standard
 semantics (conflict-free, stable, admissible, complete, preferred,
 grounded, ideal, semi-stable, eager) with :func:`extensions` and answers
 the acceptance questions about them with :func:`query`. A labelling
-search finds the stable and complete extensions. One depth-first walk
-over per-argument compatibility sets gives the conflict-free and
-admissible sets; the complete ones among those admissible sets are what
-preferred, ideal, semi-stable and eager select from (semi-stable and
+search finds the stable and complete extensions. A depth-first walk
+over per-argument compatibility sets gives the conflict-free sets, and
+one with a look-ahead the admissible sets; preferred, ideal, semi-stable
+and eager select from the complete ones among these (semi-stable and
 eager take the stable extensions when there are any). Grounded is
 the complete search's first labelling, the least fixpoint of the
 defence function. A deliberately naive brute-force reference

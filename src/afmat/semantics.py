@@ -34,8 +34,8 @@ on the outsiders marks the non-zero columns of the outgoing block, and
 ``minus`` the non-zero rows of the incoming block. The norm-form reading
 of the same verdicts lives in :mod:`afmat.core`. :func:`is_stable`,
 :func:`is_admissible`, :func:`is_complete` and :func:`range_of` apply
-the tests to a node OR-ed from a candidate's members (``_node``); the
-families share two of them, ``_admissible`` and ``_complete``.
+the tests to a node OR-ed from a candidate's members (``_node``); pr
+and sst share the complete one, ``_complete``.
 
 Three engines give every family; each passes its sets on as they come,
 and no engine owes an order.
@@ -50,8 +50,8 @@ and no engine owes an order.
   It walks the same tree with nodes, each child OR-ing in the rows of i,
   and looks ahead: everything the sets below a node can attack lies in
   ``reach = plus | OR(targets[i] for i in cand)``, so a node with
-  ``minus & ~reach != 0`` is dropped with its subtree; ``_extensions``
-  keeps the admissible survivors.
+  ``minus & ~reach != 0`` is dropped with its subtree. A kept node is
+  yielded when it is admissible, so the walk gives the ad family alone.
 * The search, ``_search``, gives st and co by labelling (Modgil &
   Caminada 2009; Nofal, Atkinson & Dunne, AIJ 207, 2014). An argument is
   put in (``inn``, with ``plus`` and ``minus``) or excluded for good
@@ -162,9 +162,8 @@ def _conflict_free(tables: AttackTables) -> Iterator[ArgSet]:
 
 
 def _walk(tables: AttackTables) -> Iterator[_Node]:
-    """The ad look-ahead walk, read by ad, pr and sst: every conflict-free
-    node the look-ahead keeps, admissible or not, in lexicographic
-    preorder, so each yield is one node visited."""
+    """The ad look-ahead walk, read by ad, pr and sst: every admissible
+    node once, in lexicographic preorder."""
     targets, attackers, above = tables.targets, tables.attackers, tables.above
     stack = [((), 0, 0, 0, tables.full & ~tables.loops)]
     push = stack.append
@@ -178,7 +177,8 @@ def _walk(tables: AttackTables) -> Iterator[_Node]:
             rest ^= low
         if minus & ~reach:
             continue
-        yield node
+        if not minus & ~plus:
+            yield node
         rest = cand
         while rest:
             i = rest.bit_length()
@@ -312,7 +312,8 @@ class ExtensionFamily:
         return len(self.sets)
 
     def __contains__(self, candidate: Iterable[int]) -> bool:
-        return argset(candidate) in self.sets
+        members = tuple(candidate)  # 1.0 or True equal 1 but name no argument
+        return all(type(a) is int for a in members) and argset(members) in self.sets
 
     def __iter__(self) -> Iterator[ArgSet]:
         return iter(self.ordered())
@@ -328,10 +329,6 @@ def _node(tables: AttackTables, members: ArgSet) -> _Node:
     return members, mask, _union(tables.targets, mask), _union(tables.attackers, mask), 0
 
 
-def _admissible(v: _Node) -> bool:
-    return not v[3] & ~v[2]
-
-
 def _complete(tables: AttackTables, v: _Node) -> bool:
     """The complete test, on an admissible node."""
     return not _defended(tables.attackers, tables.full & ~(v[1] | v[2]), v[2])
@@ -345,9 +342,10 @@ def _decide(f: Framework, candidate: Iterable[int], tag: Semantics) -> bool:
     node = _node(tables, members)
     if tag is Semantics.STABLE:
         return node[1] | node[2] == tables.full
-    if tag is Semantics.COMPLETE and not _admissible(node):
+    admissible = not node[3] & ~node[2]
+    if tag is Semantics.COMPLETE and not admissible:
         raise PreconditionError("candidate set is not admissible")
-    return _admissible(node) and (tag is Semantics.ADMISSIBLE or _complete(tables, node))
+    return admissible and (tag is Semantics.ADMISSIBLE or _complete(tables, node))
 
 
 def is_stable(f: Framework, candidate: Iterable[int]) -> bool:
@@ -403,7 +401,7 @@ def _extensions(f: Framework, tag: Semantics) -> Iterable[_Node]:
         inn, _, plus, minus, _ = _settle(tables, False, *_root(tables))
         return [(unpack(inn), inn, plus, minus, 0)]
     if tag is Semantics.ADMISSIBLE:
-        return filter(_admissible, _walk(tables))
+        return _walk(tables)
     if tag in (Semantics.STABLE, Semantics.COMPLETE):
         return _search(tables, tag)
     if tag in (Semantics.IDEAL, Semantics.EAGER):

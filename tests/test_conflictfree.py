@@ -118,6 +118,9 @@ class TestEnumeration:
         assert (1, 3) in family
         assert [3, 1, 3] in family
         assert (1, 2) not in family
+        # 1.0 == True == 1, but neither names an argument, as in query and is_*
+        for candidate in ((1.0, 3), [True, 3], (1, 3.0), (9,)):
+            assert candidate not in family
 
     def test_stream_is_level_then_lexicographic(self):
         assert list(iter_conflict_free(AF5A)) == [
