@@ -8,8 +8,8 @@ the acceptance questions about them with :func:`query`. A labelling
 search finds the stable and complete extensions. A depth-first walk
 over per-argument compatibility sets gives the conflict-free sets, and
 one with a look-ahead the admissible sets; preferred, ideal, semi-stable
-and eager select from the complete ones among these (semi-stable and
-eager take the stable extensions when there are any). Grounded is
+and eager select from these (semi-stable and eager take the stable
+extensions when there are any). Grounded is
 the complete search's first labelling, the least fixpoint of the
 defence function. A deliberately naive brute-force reference
 implementation is included for differential verification, plus TGF/APX

@@ -113,8 +113,9 @@ class TestComplete:
         assert not is_complete(Framework(1), ())
 
     def test_requires_admissible(self):
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError) as err:
             is_complete(AF5B, (1,))
+        assert err.value.pair == (4, 1)
         with pytest.raises(PreconditionError):
             is_complete(AF5B, (1, 4))
 
@@ -284,6 +285,11 @@ BEYOND_ORACLE = [
 # visits 26.3M conflict-free sets at n=60.
 LOOKAHEAD_REACH = [generate(GeneratorConfig(n=n, p=0.1, seed=2024)) for n in (60, 80)]
 
+# Every attack made mutual: all 252 conflict-free sets are admissible, 104
+# complete, none stable, so sst takes the range-maximal step over the walk.
+_G16 = generate(GeneratorConfig(n=16, p=0.15, seed=2024))
+SYMMETRIC = pytest.param(Framework(16, _G16.attacks | {(b, a) for a, b in _G16.attacks}), id="sym16")
+
 
 class TestBeyondOracleBound:
     """The fast paths against the plain route where the oracle refuses:
@@ -315,11 +321,11 @@ class TestBeyondOracleBound:
         least = [s for s in complete if all(set(s) <= set(c) for c in complete)]
         assert extensions(f, "gr").ordered() == least
 
-    @pytest.mark.parametrize("f", BEYOND_ORACLE + LOOKAHEAD_REACH, ids=lambda f: f"n{f.n}")
+    @pytest.mark.parametrize("f", BEYOND_ORACLE + LOOKAHEAD_REACH + [SYMMETRIC], ids=lambda f: f"n{f.n}")
     def test_maximal_complete_equals_maximal_admissible(self, f):
-        # pr / sst compare the complete sets; Dung and Caminada define
-        # them over the admissible sets. pr / sst and ad all read the ad
-        # look-ahead walk, so the co search's family is an independent check.
+        # pr / sst compare the admissible sets, as Dung and Caminada define
+        # them. pr / sst and ad all read the ad look-ahead walk, so the co
+        # search's family is an independent check.
         for family in ("ad", "co"):
             members = {s: frozenset(s) for s in extensions(f, family).sets}
             reach = {s: frozenset(range_of(f, s)) for s in members}
@@ -328,7 +334,7 @@ class TestBeyondOracleBound:
             assert extensions(f, "pr").sets == preferred, family
             assert extensions(f, "sst").sets == semi_stable, family
 
-    @pytest.mark.parametrize("f", BEYOND_ORACLE, ids=lambda f: f"n{f.n}")
+    @pytest.mark.parametrize("f", BEYOND_ORACLE + [SYMMETRIC], ids=lambda f: f"n{f.n}")
     @pytest.mark.parametrize("tag, outer", [("id", "pr"), ("eg", "sst")])
     def test_largest_admissible_inside_intersection(self, f, tag, outer):
         fence = set(f.arguments).intersection(*extensions(f, outer).sets)
@@ -523,7 +529,7 @@ class TestLookahead:
 
     @pytest.mark.parametrize("tag", ["pr", "id", "sst", "eg"])
     def test_derived_tags_walk_few_nodes(self, tag, monkeypatch):
-        # no stable set: pr / sst keep the complete nodes of the ad
+        # no stable set: pr / sst keep the maximal nodes of the ad
         # look-ahead walk, which pushes 46 543 nodes and keeps 3 428, where
         # a walk without the look-ahead visits all 26.3M conflict-free sets
         monkeypatch.setattr(semantics, "attack_tables", lambda f: budgeted(attack_tables(f), 50_000))
