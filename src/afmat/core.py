@@ -247,8 +247,8 @@ def check_permutation(permutation: Iterable[int], n: int) -> tuple[int, ...]:
     perm = tuple(permutation)
     if len(perm) != n:
         raise MalformedPermutationError(f"expected {n} labels, got {len(perm)}")
-    # 2.0 == 2 and True == 1 in the comparison below, but neither is an argument identifier
-    if sorted(perm) != list(range(1, n + 1)) or not all(type(x) is int for x in perm):
+    # type first, as sorted() raises on ("a", 1); 2.0 == 2 and True == 1, but name no argument
+    if not all(type(x) is int for x in perm) or sorted(perm) != list(range(1, n + 1)):
         raise MalformedPermutationError(f"labels {perm!r} are not a permutation of 1..{n}")
     return perm
 

@@ -93,12 +93,13 @@ rule, ``_cf_answer``): the target itself if it is conflict-free; the
 least attacker of the target that does not attack itself. cf's lists
 read the enumerator's sets and pack each only when the target is not
 empty: a set attacks t iff it holds an attacker of t.
-pr's some-questions read co, as every complete extension lies inside a
-preferred one, which is complete. Otherwise a question reads the family
-as ``_extensions`` yields it, so a some- or every-question stops at its
-first witness or counterexample;
-for pr, id, and sst / eg without a stable extension, that family comes
-from the ad walk, which prunes nothing when every attack is mutual.
+ad's and pr's some-questions read co (``_SOME_READS``), with the same
+answers: every pr set is complete, every complete set admissible, and
+every admissible set lies inside a pr one. Otherwise a question reads the
+family as ``_extensions`` yields it, so a some- or every-question stops
+at its first witness or counterexample; for ad's ``EE``, ``SE-...`` and
+``EE-...``, pr, id, and sst / eg without a stable extension, that family
+comes from the ad walk, which prunes nothing when every attack is mutual.
 Answers are deterministic: lists and first sets follow the public order,
 by cardinality and then lexicographically.
 """
@@ -467,6 +468,9 @@ _QUESTIONS = {
 _GLOBAL = {"exists": "DC", "SE": "SE-containing", "EE": "EE-containing"}
 # A set, not a tuple of members: on Python 3.11 each Semantics.X lookup costs about 0.1 us.
 _FROM_EMPTY = frozenset({Semantics.CONFLICT_FREE, Semantics.ADMISSIBLE})
+# tag -> the family its some-questions read, with the same answers: both tests are monotone,
+# every pr set is co and every co set ad, and every ad set lies inside a pr one (Dung, 1995).
+_SOME_READS = {Semantics.ADMISSIBLE: Semantics.COMPLETE, Semantics.PREFERRED: Semantics.COMPLETE}
 
 
 def _cf_answer(tables: AttackTables, summary: Callable, test: Callable, t: int):
@@ -514,9 +518,10 @@ def query(
     quantified answers are vacuously true for an empty family. A target
     given with a global question is ignored.
 
-    The answers are those over the whole family; cf, ad, co and pr
-    questions take the module docstring's least-extension rule first, cf
-    some- and first-questions its minimal-witness rule, and a some- or
+    The answers are those over the whole family. ad and pr some-questions
+    read co, which gives the same answers; then cf, ad and co questions
+    take the module docstring's least-extension rule first, cf some- and
+    first-questions its minimal-witness rule, and a some- or
     every-question stops at its first witness or counterexample.
     """
     tag = Semantics(tag)
@@ -531,8 +536,8 @@ def query(
     if tag is Semantics.CONFLICT_FREE and summary is not _every:
         return _cf_answer(attack_tables(f), summary, test, t)
     hit = test(t)
-    if summary is _some and tag is Semantics.PREFERRED:
-        tag = Semantics.COMPLETE  # each complete set lies inside a preferred one, which is complete
+    if summary is _some:
+        tag = _SOME_READS.get(tag, tag)
     least = None if summary is _listed else _least(f, tag)
     use_least = least is not None and (summary is _every or hit(least))  # both tests are monotone
     return summary([least] if use_least else _extensions(f, tag), hit)

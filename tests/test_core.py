@@ -117,7 +117,8 @@ class TestBuildMatrix:
 
     @pytest.mark.parametrize(
         "perm",
-        [(1, 2), (1, 2, 3, 4), (1, 1, 3), (0, 1, 2), (2, 3, 4), (1.0, 2, 3), (1, 2, 3.0), (True, 2, 3)],
+        [(1, 2), (1, 2, 3, 4), (1, 1, 3), (0, 1, 2), (2, 3, 4), (1.0, 2, 3), (1, 2, 3.0), (True, 2, 3),
+         ("a", 2, 3), (None, 2, 3)],
     )
     def test_malformed_permutations(self, perm):
         with pytest.raises(MalformedPermutationError):

@@ -709,6 +709,20 @@ class TestQueries:
         targets = [(), *f.arguments, *pairs[:3]]
         check_catalogue(f, Semantics.CONFLICT_FREE, oracle_family(f, "cf").sets, targets)
 
+    @settings(deadline=None)
+    @given(frameworks(max_n=7))
+    # G = {}: the least ad set and the least co set answer no DC or AC
+    @example(Framework(2, {(1, 2), (2, 1)}))
+    def test_ad_co_and_pr_agree_on_some_questions(self, f):
+        # the premise of query's some-question table, by set logic over the
+        # oracle's families alone: some ad set passes iff a co one does iff
+        # a pr one does
+        families = [oracle_family(f, tag).sets for tag in ("ad", "co", "pr")]
+        for target in [*((a,) for a in f.arguments), *([(1, f.n)] if f.n >= 2 else [])]:
+            ad, co, pr = ({q: catalogue_by_sets(f, sets, target)[q] for q in ("exists", "DC", "AC")}
+                          for sets in families)
+            assert ad == co == pr, target
+
     def test_membership_questions(self):
         assert query(AF5A, "DC", "st", 1)
         assert not query(AF5A, "DS", "st", 2)
@@ -802,22 +816,23 @@ def no_walk(tables):
 
 
 def check_some_questions(f, complete, contained, attacked):
-    """co / pr exists, DC and AC against set logic over ``complete``, the
-    complete family: some preferred extension passes iff a complete one does."""
-    for tag in ("co", "pr"):
+    """ad / co / pr exists, DC and AC against set logic over ``complete``, the
+    complete family: some admissible or preferred extension passes iff a
+    complete one does."""
+    for tag in ("ad", "co", "pr"):
         assert query(f, "exists", tag) is bool(complete)
     for q, targets in (("DC", contained), ("AC", attacked)):
         for target in targets:
             expected = catalogue_by_sets(f, complete, (target,) if isinstance(target, int) else target)[q]
-            for tag in ("co", "pr"):
+            for tag in ("ad", "co", "pr"):
                 assert query(f, q, tag, target) is expected, (tag, q, target)
 
 
 class TestRoutes:
-    """cf / ad questions go through the empty set before the walk, co / pr
-    through the grounded node before the complete search, sst / eg through
-    the stable search; the answers must equal set logic over the family no
-    route built."""
+    """cf / ad questions go through the empty set before the walk, co
+    questions and ad / pr some-questions through the grounded node before
+    the complete search, sst / eg through the stable search; the answers
+    must equal set logic over the family no route built."""
 
     # cf / ad on these only: the stressors hold 398 800 conflict-free sets
     @pytest.mark.parametrize(
@@ -832,10 +847,10 @@ class TestRoutes:
     def test_global_questions_match_plain_family(self, f, tag):
         check_catalogue(f, tag, plain_family(f, tag), [])
 
-    def test_st_sst_eg_co_and_pr_some_questions_start_no_walk(self, monkeypatch):
+    def test_st_sst_eg_co_ad_and_pr_some_questions_start_no_walk(self, monkeypatch):
         # one stable set; the st / sst / eg answers come from the stable
-        # search, co's from G and the complete search, pr's some-questions
-        # from co: none of them starts the ad walk
+        # search, co's from G and the complete search, ad's and pr's
+        # some-questions from co: none of them starts the ad walk
         f = generate(GeneratorConfig(n=80, p=0.1, seed=2024))
         monkeypatch.setattr(semantics, "_walk", no_walk)
         stable = query(f, "EE", "st")
@@ -847,6 +862,8 @@ class TestRoutes:
         assert query(f, "AS", "co", 2) is False
         assert query(f, "DC", "pr", 2) is True
         assert query(f, "AC", "pr", 2) is False
+        assert query(f, "DC", "ad", 2) is True
+        assert query(f, "AC", "ad", 2) is False
 
     @pytest.mark.parametrize("tag", ["cf", "ad"])
     def test_least_answers_start_no_walk(self, tag, monkeypatch):
